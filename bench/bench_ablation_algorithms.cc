@@ -3,14 +3,21 @@
  * Ablation: analysis-algorithm cost. Section VI-B notes that
  * k-means and DBSCAN "reach memory limitations for larger
  * workloads such as RetinaNet and ResNet", while OLS competes with
- * SimPoint-style clustering at a fraction of the cost. This
- * google-benchmark binary measures wall time of the three
- * algorithms against growing step counts and reports the resident
- * working set each needs (every step's feature vector for
- * k-means/DBSCAN versus three step records for OLS).
+ * SimPoint-style clustering at a fraction of the cost. This bench
+ * measures wall time of the three algorithms against growing step
+ * counts and reports the resident working set each needs (every
+ * step's feature vector for k-means/DBSCAN versus three step
+ * records for OLS).
+ *
+ * Each timing is the median of repeated runs (at least three, and
+ * until 50 ms of runs have accumulated).
  */
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "analyzer/dbscan.hh"
 #include "analyzer/features.hh"
@@ -18,93 +25,113 @@
 #include "analyzer/ols.hh"
 #include "analyzer/step_table.hh"
 #include "bench/common.hh"
+#include "core/strings.hh"
 
 using namespace tpupoint;
 
 namespace {
 
-/** Profile DCGAN once and reuse the records for every benchmark. */
-const std::vector<ProfileRecord> &
-cachedRecords()
-{
-    static const std::vector<ProfileRecord> records = [] {
-        const RuntimeWorkload w =
-            benchutil::buildScaled(WorkloadId::DcganCifar10);
-        return benchutil::profiledRun(w, TpuGeneration::V2)
-            .records;
-    }();
-    return records;
-}
-
-/** A step table truncated to the first @p steps steps. */
+/** A step table of the first @p steps steps of @p full. */
 StepTable
-truncatedTable(std::size_t steps)
+truncatedTable(const StepTable &full, std::size_t steps)
 {
-    const StepTable full = StepTable::fromRecords(cachedRecords());
-    // Rebuild a table with only the first `steps` rows by packing
-    // them into one synthetic record.
-    ProfileRecord record;
+    // Pack the leading rows into one synthetic record.
+    ColumnarRecord record;
     for (std::size_t i = 0; i < full.size() && i < steps; ++i)
-        record.steps.push_back(full.at(i));
+        record.appendStep(full.stepId(i), full.beginTime(i),
+                          full.endTime(i), full.tpuBusy(i),
+                          full.tpuIdle(i), full.mxuActive(i),
+                          full.hostOps(i), full.tpuOps(i));
     return StepTable::fromRecords({record});
 }
 
-void
-BM_KMeansSweep(benchmark::State &state)
+/** Median wall milliseconds of @p run over repeated calls. */
+template <typename Fn>
+double
+medianMs(Fn &&run)
 {
-    const StepTable table =
-        truncatedTable(static_cast<std::size_t>(state.range(0)));
-    const FeatureMatrix features = FeatureMatrix::build(table);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            kMeansSweep(features.rows(), 1, 15));
+    using Clock = std::chrono::steady_clock;
+    std::vector<double> samples;
+    double total = 0;
+    while (samples.size() < 3 || total < 50.0) {
+        const auto begin = Clock::now();
+        run();
+        const double ms =
+            std::chrono::duration<double, std::milli>(Clock::now() -
+                                                      begin)
+                .count();
+        samples.push_back(ms);
+        total += ms;
     }
-    state.counters["working_set_bytes"] = static_cast<double>(
-        features.rows().size() * features.dimensions() *
-        sizeof(double));
-}
-
-void
-BM_DbscanSweep(benchmark::State &state)
-{
-    const StepTable table =
-        truncatedTable(static_cast<std::size_t>(state.range(0)));
-    const FeatureMatrix features = FeatureMatrix::build(table);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dbscanSweep(features.rows()));
-    }
-    state.counters["working_set_bytes"] = static_cast<double>(
-        features.rows().size() * features.dimensions() *
-        sizeof(double));
-}
-
-void
-BM_OnlineLinearScan(benchmark::State &state)
-{
-    const StepTable table =
-        truncatedTable(static_cast<std::size_t>(state.range(0)));
-    std::size_t peak = 0;
-    for (auto _ : state) {
-        OnlineLinearScan ols;
-        for (const auto &step : table.steps())
-            ols.addStep(step);
-        ols.finish();
-        peak = ols.peakStepsHeld();
-        benchmark::DoNotOptimize(ols.phases().size());
-    }
-    // OLS holds three step records regardless of run length.
-    state.counters["working_set_steps"] =
-        static_cast<double>(peak);
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
 }
 
 } // namespace
 
-BENCHMARK(BM_KMeansSweep)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-BENCHMARK(BM_DbscanSweep)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-BENCHMARK(BM_OnlineLinearScan)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(256)
-    ->Arg(512);
+int
+main(int argc, char **argv)
+{
+    benchutil::BenchReport report("ablation_algorithms", argc, argv);
+    benchutil::banner("Ablation: analysis-algorithm cost vs. steps",
+                      "Section VI-B (k-means/DBSCAN memory limits, "
+                      "OLS overhead)");
 
-BENCHMARK_MAIN();
+    const RuntimeWorkload w =
+        benchutil::buildScaled(WorkloadId::DcganCifar10);
+    const StepTable full = StepTable::fromRecords(
+        benchutil::profiledRun(w, TpuGeneration::V2).records);
+
+    const std::vector<int> widths{6, 12, 12, 10, 16, 10};
+    benchutil::row({"steps", "k-means ms", "DBSCAN ms", "OLS ms",
+                    "features bytes", "OLS steps"},
+                   widths);
+    std::size_t sink = 0;
+    for (const std::size_t steps : {64u, 128u, 256u, 512u}) {
+        const StepTable table = truncatedTable(full, steps);
+        const FeatureMatrix features = FeatureMatrix::build(table);
+        const Matrix &points = features.matrix();
+
+        const double kmeans_ms = medianMs([&] {
+            sink += kMeansSweep(points, 1, 15).k_values.size();
+        });
+        const double dbscan_ms = medianMs([&] {
+            sink += dbscanSweep(points).min_samples_values.size();
+        });
+        std::size_t ols_peak = 0;
+        const double ols_ms = medianMs([&] {
+            OnlineLinearScan ols;
+            for (std::size_t i = 0; i < table.size(); ++i)
+                ols.addStep(table.stepId(i), table.span(i),
+                            OnlineLinearScan::opKeys(
+                                table.hostOps(i), table.tpuOps(i)));
+            ols.finish();
+            ols_peak = ols.peakStepsHeld();
+            sink += ols.phases().size();
+        });
+        // k-means and DBSCAN hold every step's feature vector; OLS
+        // holds three step records regardless of run length.
+        const double working_set_bytes = static_cast<double>(
+            points.rows() * features.dimensions() * sizeof(double));
+
+        benchutil::row({std::to_string(steps),
+                        formatDouble(kmeans_ms, 3),
+                        formatDouble(dbscan_ms, 3),
+                        formatDouble(ols_ms, 3),
+                        formatDouble(working_set_bytes, 0),
+                        std::to_string(ols_peak)},
+                       widths);
+        const std::string n = std::to_string(steps);
+        report.figure("kmeans_sweep_ms_" + n, kmeans_ms);
+        report.figure("dbscan_sweep_ms_" + n, dbscan_ms);
+        report.figure("ols_ms_" + n, ols_ms);
+        report.figure("kmeans_working_set_bytes_" + n,
+                      working_set_bytes);
+        report.figure("dbscan_working_set_bytes_" + n,
+                      working_set_bytes);
+        report.figure("ols_working_set_steps_" + n,
+                      static_cast<double>(ols_peak));
+    }
+    std::printf("(result checksum %zu)\n", sink);
+    return report.write() ? 0 : 1;
+}

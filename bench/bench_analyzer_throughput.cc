@@ -2,27 +2,16 @@
  * @file
  * Analyzer ingest throughput: the columnar pipeline (zero-copy
  * chunk reads, interned op ids, struct-of-arrays step table, flat
- * feature matrix) against the legacy row pipeline it replaced
- * (materialized ProfileRecord, string-keyed map aggregation,
- * per-step feature vectors), preserved here as the in-bench
- * baseline. Both passes run decode -> step table -> feature
- * extraction over the same serialized ResNet-scale profile; the
- * bench reports MB/s and events/sec per path plus the speedup, so
- * the columnar rewrite's gain is measured in the same run it is
- * claimed.
+ * feature matrix) runs decode -> step table -> feature extraction
+ * over a serialized ResNet-scale profile; the bench reports MB/s
+ * and events/sec.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "analyzer/features.hh"
 #include "analyzer/step_table.hh"
@@ -45,84 +34,12 @@ timeSeconds(Fn &&fn)
         .count();
 }
 
-/** What either pass boils the profile down to. */
+/** What a pass boils the profile down to. */
 struct PassResult
 {
     std::size_t steps = 0;
     std::size_t dims = 0;
 };
-
-/**
- * The pre-columnar analyzer pipeline, kept verbatim as the
- * baseline: materialized records merged through a string-keyed
- * std::map table, op universe via a std::set of concatenated
- * labels, features filled by name lookup into per-step vectors.
- */
-PassResult
-legacyPass(const std::string &payload)
-{
-    std::istringstream in(payload);
-    ProfileReader reader(in);
-    ProfileRecord record;
-    std::map<StepId, StepStats> merged;
-    while (reader.read(record)) {
-        for (const StepStats &step : record.steps) {
-            auto [it, inserted] =
-                merged.try_emplace(step.step, step);
-            if (!inserted)
-                it->second.merge(step);
-        }
-    }
-    std::vector<StepStats> rows;
-    rows.reserve(merged.size());
-    for (auto &[id, stats] : merged)
-        rows.push_back(std::move(stats));
-
-    std::set<std::string> labels;
-    for (const StepStats &row : rows) {
-        for (const auto &[name, stats] : row.host_ops)
-            labels.insert("host:" + name);
-        for (const auto &[name, stats] : row.tpu_ops)
-            labels.insert("tpu:" + name);
-    }
-    std::unordered_map<std::string, std::size_t> op_index;
-    op_index.reserve(labels.size());
-    for (const std::string &label : labels)
-        op_index.emplace(label, op_index.size());
-    const std::size_t raw_dims =
-        std::max<std::size_t>(labels.size() * 2, 1);
-
-    std::vector<FeatureVector> data;
-    data.reserve(rows.size());
-    for (const StepStats &step : rows) {
-        FeatureVector row(raw_dims, 0.0);
-        auto fill = [&](const OpStatsMap &ops,
-                        const char *prefix) {
-            for (const auto &[name, stats] : ops) {
-                const auto it = op_index.find(prefix + name);
-                if (it == op_index.end())
-                    continue;
-                row[it->second * 2] =
-                    static_cast<double>(stats.count);
-                row[it->second * 2 + 1] =
-                    static_cast<double>(stats.total_duration);
-            }
-        };
-        fill(step.host_ops, "host:");
-        fill(step.tpu_ops, "tpu:");
-        data.push_back(std::move(row));
-    }
-    FeatureVector maxima(raw_dims, 0.0);
-    for (const FeatureVector &row : data)
-        for (std::size_t d = 0; d < raw_dims; ++d)
-            maxima[d] = std::max(maxima[d], std::abs(row[d]));
-    for (FeatureVector &row : data)
-        for (std::size_t d = 0; d < raw_dims; ++d)
-            if (maxima[d] > 0)
-                row[d] /= maxima[d];
-
-    return {rows.size(), raw_dims};
-}
 
 /** The columnar pipeline the analyzer now runs. */
 PassResult
@@ -147,11 +64,11 @@ main(int argc, char **argv)
     benchutil::BenchReport report("analyzer_throughput", argc,
                                   argv);
     benchutil::banner(
-        "Analyzer ingest throughput: columnar vs legacy row path",
+        "Analyzer ingest throughput",
         "columnar core (interned SoA table, zero-copy reads)");
 
     // One ResNet-scale profiled run, serialized several times over
-    // so both passes chew through a multi-megabyte stream. Repeats
+    // so each pass chews through a multi-megabyte stream. Repeats
     // re-ingest the same step ids, which also exercises the
     // merge-into-existing-row path.
     constexpr int kRepeats = 24;
@@ -164,7 +81,7 @@ main(int argc, char **argv)
     {
         ProfileWriter writer(buffer);
         for (int repeat = 0; repeat < kRepeats; ++repeat) {
-            for (const ProfileRecord &record : run.records) {
+            for (const ColumnarRecord &record : run.records) {
                 writer.write(record);
                 events += record.event_count;
             }
@@ -179,52 +96,27 @@ main(int argc, char **argv)
                 run.records.size(), kRepeats, megabytes,
                 static_cast<unsigned long long>(events));
 
-    // Best-of-N wall time per path; the first columnar pass also
-    // pays the one-time interner fill, which best-of absorbs.
-    double legacy_seconds = 1e300;
+    // Best-of-N wall time; the first pass also pays the one-time
+    // interner fill, which best-of absorbs.
     double columnar_seconds = 1e300;
-    PassResult legacy;
     PassResult columnar;
     for (int iter = 0; iter < kIterations; ++iter) {
-        legacy_seconds = std::min(
-            legacy_seconds,
-            timeSeconds([&] { legacy = legacyPass(payload); }));
         columnar_seconds = std::min(
             columnar_seconds,
             timeSeconds([&] { columnar = columnarPass(payload); }));
     }
-    if (legacy.steps != columnar.steps ||
-        legacy.dims != columnar.dims) {
-        std::fprintf(stderr,
-                     "error: paths disagree (%zu steps x%zu dims "
-                     "vs %zu x%zu)\n",
-                     legacy.steps, legacy.dims, columnar.steps,
-                     columnar.dims);
-        return 1;
-    }
 
-    const double total_events = static_cast<double>(events);
-    const double legacy_eps = total_events / legacy_seconds;
-    const double columnar_eps = total_events / columnar_seconds;
-    const double legacy_mbps = megabytes / legacy_seconds;
+    const double columnar_eps =
+        static_cast<double>(events) / columnar_seconds;
     const double columnar_mbps = megabytes / columnar_seconds;
-    const double speedup = columnar_eps / legacy_eps;
 
     std::printf("%-10s %12s %14s %8s %6s\n", "Path", "MB/s",
                 "events/sec", "steps", "dims");
-    std::printf("%-10s %12.1f %14.0f %8zu %6zu\n", "legacy",
-                legacy_mbps, legacy_eps, legacy.steps,
-                legacy.dims);
     std::printf("%-10s %12.1f %14.0f %8zu %6zu\n", "columnar",
                 columnar_mbps, columnar_eps, columnar.steps,
                 columnar.dims);
-    std::printf("\nspeedup: %.2fx events/sec (target >= 1.5x)\n",
-                speedup);
 
-    report.figure("legacy_mb_per_sec", legacy_mbps);
-    report.figure("legacy_events_per_sec", legacy_eps);
     report.figure("columnar_mb_per_sec", columnar_mbps);
     report.figure("columnar_events_per_sec", columnar_eps);
-    report.figure("speedup_events_per_sec", speedup);
     return report.write() ? 0 : 1;
 }

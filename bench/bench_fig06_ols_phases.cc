@@ -39,8 +39,10 @@ main()
         std::printf("%-16s", workloadName(id));
         for (const double t : thresholds) {
             OnlineLinearScan ols(OlsOptions{t});
-            for (const auto &step : table.steps())
-                ols.addStep(step);
+            for (std::size_t i = 0; i < table.size(); ++i)
+                ols.addStep(table.stepId(i), table.span(i),
+                            OnlineLinearScan::opKeys(
+                                table.hostOps(i), table.tpuOps(i)));
             ols.finish();
             std::printf(" %6zu", ols.phases().size());
         }

@@ -18,6 +18,7 @@
  * re-admitted to completion — the `shed_rate` figure).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -48,34 +49,34 @@ constexpr std::size_t kStepsPerRecord = 8;
 constexpr int kSliceRounds = 4;
 
 /** One synthetic profile record: a few ops per step. */
-ProfileRecord
+ColumnarRecord
 makeRecord(std::uint64_t seq, StepId step_base)
 {
-    ProfileRecord record;
+    StringInterner &interner = StringInterner::global();
+    std::vector<ColumnarOpStats> tpu;
+    for (const char *name :
+         {"fusion", "MatMul", "InfeedDequeueTuple"})
+        tpu.push_back({interner.intern(name), 1, 20 * kUsec});
+    std::sort(tpu.begin(), tpu.end(),
+              [](const ColumnarOpStats &a, const ColumnarOpStats &b) {
+                  return a.op < b.op;
+              });
+    const ColumnarOpStats host{
+        interner.intern("OutfeedDequeueTuple"), 1, 5 * kUsec};
+
+    ColumnarRecord record;
     record.sequence = seq;
     const SimTime span = 100 * kUsec;
     for (std::size_t i = 0; i < kStepsPerRecord; ++i) {
-        StepStats step;
-        step.step = step_base + static_cast<StepId>(i);
-        step.begin = static_cast<SimTime>(step.step) * span;
-        step.end = step.begin + span;
-        for (const char *name :
-             {"fusion", "MatMul", "InfeedDequeueTuple"}) {
-            OpStats stats;
-            stats.count = 1;
-            stats.total_duration = 20 * kUsec;
-            step.tpu_ops[name] = stats;
-            step.tpu_busy += stats.total_duration;
-        }
-        OpStats host;
-        host.count = 1;
-        host.total_duration = 5 * kUsec;
-        step.host_ops["OutfeedDequeueTuple"] = host;
+        const StepId step = step_base + static_cast<StepId>(i);
+        const SimTime begin = static_cast<SimTime>(step) * span;
+        record.appendStep(step, begin, begin + span,
+                          3 * 20 * kUsec, 0, 0,
+                          OpStatsSpan(&host, 1), tpu);
         record.event_count += 4;
-        record.steps.push_back(std::move(step));
     }
-    record.window_begin = record.steps.front().begin;
-    record.window_end = record.steps.back().end;
+    record.window_begin = record.begin.front();
+    record.window_end = record.end.back();
     return record;
 }
 

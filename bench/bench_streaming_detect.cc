@@ -48,36 +48,36 @@ slug(const char *name)
 }
 
 /** @p copies back-to-back replicas, step ids and times shifted. */
-std::vector<ProfileRecord>
-replicateStream(const std::vector<ProfileRecord> &records,
+std::vector<ColumnarRecord>
+replicateStream(const std::vector<ColumnarRecord> &records,
                 unsigned copies)
 {
     StepId step_stride = 0;
     SimTime time_stride = 0;
-    for (const ProfileRecord &record : records) {
+    for (const ColumnarRecord &record : records) {
         time_stride = std::max(time_stride, record.window_end);
-        for (const StepStats &step : record.steps)
-            step_stride = std::max(step_stride, step.step);
+        for (const StepId step : record.step)
+            step_stride = std::max(step_stride, step);
     }
     ++step_stride;
     time_stride += kMsec;
 
-    std::vector<ProfileRecord> out;
+    std::vector<ColumnarRecord> out;
     out.reserve(records.size() * copies);
     for (unsigned copy = 0; copy < copies; ++copy) {
         const StepId step_base = step_stride *
             static_cast<StepId>(copy);
         const SimTime time_base = time_stride *
             static_cast<SimTime>(copy);
-        for (const ProfileRecord &record : records) {
-            ProfileRecord shifted = record;
+        for (const ColumnarRecord &record : records) {
+            ColumnarRecord shifted = record;
             shifted.sequence = out.size();
             shifted.window_begin += time_base;
             shifted.window_end += time_base;
-            for (StepStats &step : shifted.steps) {
-                step.step += step_base;
-                step.begin += time_base;
-                step.end += time_base;
+            for (std::size_t i = 0; i < shifted.stepCount(); ++i) {
+                shifted.step[i] += step_base;
+                shifted.begin[i] += time_base;
+                shifted.end[i] += time_base;
             }
             out.push_back(std::move(shifted));
         }
@@ -98,7 +98,7 @@ struct StreamCost
  * final iteration survives for finalize-agreement checks.
  */
 StreamCost
-streamingPass(const std::vector<ProfileRecord> &records,
+streamingPass(const std::vector<ColumnarRecord> &records,
               const AnalyzerOptions &opts, int iterations)
 {
     StreamCost cost;
@@ -106,7 +106,7 @@ streamingPass(const std::vector<ProfileRecord> &records,
     for (int iter = 0; iter < iterations; ++iter) {
         AnalysisSession session(opts);
         const auto start = std::chrono::steady_clock::now();
-        for (const ProfileRecord &record : records) {
+        for (const ColumnarRecord &record : records) {
             session.ingest(record);
             (void)session.partialResult();
         }
@@ -197,7 +197,7 @@ main(int argc, char **argv)
         // The sampled estimator's accuracy: mini-batch k-means
         // coverage over the reservoir vs the batch sweep.
         AnalysisSession kmeans_session(kmeans_opts);
-        for (const ProfileRecord &record : records)
+        for (const ColumnarRecord &record : records)
             kmeans_session.ingest(record);
         const PartialResult sampled =
             kmeans_session.partialResult();
@@ -223,7 +223,7 @@ main(int argc, char **argv)
     // Bounded per-step cost: the same pipeline over a 10x longer
     // stream must not get more expensive per step.
     const auto &base = runs[1].records; // DCGAN-MNIST
-    const std::vector<ProfileRecord> ten_x =
+    const std::vector<ColumnarRecord> ten_x =
         replicateStream(base, 10);
     const StreamCost one =
         streamingPass(base, ols_opts, kIterations);

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "host/pipeline.hh"
-#include "proto/record.hh"
+#include "proto/columnar.hh"
 #include "runtime/session.hh"
 #include "tpu/spec.hh"
 #include "workloads/catalog.hh"
@@ -39,7 +39,7 @@ RuntimeWorkload buildScaled(WorkloadId id);
 struct RunOutput
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     std::vector<CheckpointInfo> checkpoints;
 };
 

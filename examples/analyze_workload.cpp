@@ -120,7 +120,11 @@ main(int argc, char **argv)
     const std::string base = "tpupoint_analysis";
     {
         std::ofstream out(base + ".trace.json");
-        writeChromeTrace(analysis, profiler.records(), out);
+        const auto &records = profiler.records();
+        writeChromeTrace(analysis,
+                         std::vector<ProfileWindowInfo>(
+                             records.begin(), records.end()),
+                         out);
     }
     {
         std::ofstream out(base + ".phases.csv");

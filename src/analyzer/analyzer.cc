@@ -154,7 +154,7 @@ AnalysisSession::partialResult() const
 }
 
 void
-AnalysisSession::ingest(const ProfileRecord &record)
+AnalysisSession::ingest(const ColumnarRecord &record)
 {
     if (finalized)
         panic("AnalysisSession::ingest after finalize");
@@ -176,28 +176,6 @@ AnalysisSession::ingest(const ProfileRecord &record)
         // The drop lowered the touch floor; re-sync the streaming
         // detectors now so partialResult() never reports phases
         // over discarded steps.
-        feedStreams(/*settle_all=*/false);
-        return; // boundary markers carry no step data
-    }
-    builder.ingest(record);
-    feedStreams(/*settle_all=*/false);
-}
-
-void
-AnalysisSession::ingest(const ColumnarRecord &record)
-{
-    if (finalized)
-        panic("AnalysisSession::ingest after finalize");
-    if (record.attempt + 1 > attempts_seen)
-        attempts_seen = record.attempt + 1;
-    dropped_events += record.events_dropped;
-    if (record.attempt_boundary) {
-        SimTime span = 0;
-        discarded_steps +=
-            builder.dropAfter(record.resume_step, &span);
-        discarded_time += span;
-        builder.markReplayed(record.resume_step,
-                             record.preempted_at_step);
         feedStreams(/*settle_all=*/false);
         return; // boundary markers carry no step data
     }
@@ -336,7 +314,7 @@ namespace {
 
 AnalysisSession
 ingestAll(const AnalyzerOptions &opts,
-          const std::vector<ProfileRecord> &records)
+          const std::vector<ColumnarRecord> &records)
 {
     AnalysisSession session(opts);
     obs::TraceSpan ingest_span("analyze.ingest");
@@ -351,7 +329,7 @@ ingestAll(const AnalyzerOptions &opts,
 
 AnalysisResult
 TpuPointAnalyzer::analyze(
-    const std::vector<ProfileRecord> &records,
+    const std::vector<ColumnarRecord> &records,
     const std::vector<CheckpointInfo> &checkpoints) const
 {
     AnalysisSession session = ingestAll(opts, records);
@@ -360,7 +338,7 @@ TpuPointAnalyzer::analyze(
 
 AnalysisResult
 TpuPointAnalyzer::analyze(
-    const std::vector<ProfileRecord> &records,
+    const std::vector<ColumnarRecord> &records,
     const std::vector<CheckpointInfo> &checkpoints,
     ThreadPool &pool) const
 {

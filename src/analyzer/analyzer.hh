@@ -256,19 +256,12 @@ class AnalysisSession
     AnalysisSession &operator=(AnalysisSession &&) noexcept;
 
     /**
-     * Fold one profile record into the session. Attempt-boundary
-     * records (container v4) stitch instead of aggregate: steps
-     * the dead attempt ran past the restart's resume point are
-     * dropped, and the replayed range is marked so re-ingested
-     * steps count once with a replay flag.
-     */
-    void ingest(const ProfileRecord &record);
-
-    /**
-     * Columnar fast path: fold a reusable ColumnarRecord (see
-     * ProfileReader::read(ColumnarRecord&)) with identical
-     * semantics — same stitching, same aggregates — but no
-     * per-record map materialization.
+     * Fold one profile record into the session (it may be a reused
+     * one, see ProfileReader::read). Attempt-boundary records
+     * (container v4) stitch instead of aggregate: steps the dead
+     * attempt ran past the restart's resume point are dropped, and
+     * the replayed range is marked so re-ingested steps count once
+     * with a replay flag.
      */
     void ingest(const ColumnarRecord &record);
 
@@ -375,12 +368,12 @@ class TpuPointAnalyzer
      *     phase/checkpoint association (may be empty).
      */
     AnalysisResult analyze(
-        const std::vector<ProfileRecord> &records,
+        const std::vector<ColumnarRecord> &records,
         const std::vector<CheckpointInfo> &checkpoints = {}) const;
 
     /** analyze() on a caller-provided pool (see AnalysisSession). */
     AnalysisResult analyze(
-        const std::vector<ProfileRecord> &records,
+        const std::vector<ColumnarRecord> &records,
         const std::vector<CheckpointInfo> &checkpoints,
         ThreadPool &pool) const;
 

@@ -10,25 +10,27 @@ namespace tpupoint {
 
 namespace {
 
-/** Duration share of every op in @p ops. */
+/** Duration share of every op in @p ops, keyed by name. */
 std::map<std::string, double>
-shares(const OpStatsMap &ops)
+shares(OpStatsSpan ops)
 {
     SimTime total = 0;
-    for (const auto &[name, stats] : ops)
-        total += stats.total_duration;
+    for (const ColumnarOpStats &entry : ops)
+        total += entry.total_duration;
     std::map<std::string, double> out;
     if (total == 0)
         return out;
-    for (const auto &[name, stats] : ops) {
-        out[name] = static_cast<double>(stats.total_duration) /
+    const StringInterner &interner = StringInterner::global();
+    for (const ColumnarOpStats &entry : ops) {
+        out[std::string(interner.view(entry.op))] =
+            static_cast<double>(entry.total_duration) /
             static_cast<double>(total);
     }
     return out;
 }
 
 std::vector<OpShareDelta>
-mergeShares(const OpStatsMap &a, const OpStatsMap &b)
+mergeShares(OpStatsSpan a, OpStatsSpan b)
 {
     const auto sa = shares(a);
     const auto sb = shares(b);
@@ -85,15 +87,14 @@ compareAnalyses(const AnalysisResult &a, const AnalysisResult &b,
 
     const Phase *longest_a = a.longest();
     const Phase *longest_b = b.longest();
-    static const OpStatsMap empty;
-    const OpStatsMap &tpu_a =
-        longest_a ? longest_a->tpu_ops : empty;
-    const OpStatsMap &tpu_b =
-        longest_b ? longest_b->tpu_ops : empty;
-    const OpStatsMap &host_a =
-        longest_a ? longest_a->host_ops : empty;
-    const OpStatsMap &host_b =
-        longest_b ? longest_b->host_ops : empty;
+    const OpStatsSpan tpu_a =
+        longest_a ? OpStatsSpan(longest_a->tpu_ops) : OpStatsSpan();
+    const OpStatsSpan tpu_b =
+        longest_b ? OpStatsSpan(longest_b->tpu_ops) : OpStatsSpan();
+    const OpStatsSpan host_a =
+        longest_a ? OpStatsSpan(longest_a->host_ops) : OpStatsSpan();
+    const OpStatsSpan host_b =
+        longest_b ? OpStatsSpan(longest_b->host_ops) : OpStatsSpan();
 
     comparison.tpu_ops = mergeShares(tpu_a, tpu_b);
     comparison.host_ops = mergeShares(host_a, host_b);

@@ -114,14 +114,4 @@ FeatureMatrix::build(const StepTable &table,
     return out;
 }
 
-std::vector<FeatureVector>
-FeatureMatrix::rows() const
-{
-    std::vector<FeatureVector> out;
-    out.reserve(data.rows());
-    for (std::size_t r = 0; r < data.rows(); ++r)
-        out.push_back(data.row(r));
-    return out;
-}
-
 } // namespace tpupoint

@@ -47,12 +47,6 @@ class FeatureMatrix
     /** Flat row-major storage: one row per step, table order. */
     const Matrix &matrix() const { return data; }
 
-    /**
-     * Row-oriented compatibility view (copies the matrix rows out;
-     * prefer matrix() on hot paths).
-     */
-    std::vector<FeatureVector> rows() const;
-
     /** Dimension labels before any PCA reduction. */
     const std::vector<std::string> &rawDimensions() const
     {

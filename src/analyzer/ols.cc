@@ -10,31 +10,9 @@ namespace tpupoint {
 namespace {
 
 /**
- * Sorted operator-key set of a row-oriented step: intern each
- * label's name, tag the device side in the low bit, sort. Produces
- * the same set (up to the label <-> key bijection) as
- * StepStats::opSet().
- */
-std::vector<std::uint64_t>
-keysFromMaps(const StepStats &step)
-{
-    StringInterner &interner = StringInterner::global();
-    std::vector<std::uint64_t> keys;
-    keys.reserve(step.host_ops.size() + step.tpu_ops.size());
-    for (const auto &[name, stats] : step.host_ops)
-        keys.push_back(static_cast<std::uint64_t>(
-                           interner.intern(name)) << 1);
-    for (const auto &[name, stats] : step.tpu_ops)
-        keys.push_back((static_cast<std::uint64_t>(
-                            interner.intern(name)) << 1) | 1);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-/**
- * Materialize a key signature back into the sorted label strings
- * StepStats::opSet() would have produced ("host:" labels sort
- * before "tpu:" labels, names sorted within each side).
+ * Materialize a key signature back into sorted "host:"/"tpu:"
+ * label strings ("host:" labels sort before "tpu:" labels, names
+ * sorted within each side).
  */
 std::vector<std::string>
 labelsFromKeys(const std::vector<std::uint64_t> &keys)
@@ -62,30 +40,6 @@ OnlineLinearScan::OnlineLinearScan(const OlsOptions &options)
 }
 
 double
-OnlineLinearScan::setSimilarity(const std::vector<std::string> &a,
-                                const std::vector<std::string> &b)
-{
-    if (a.empty() || b.empty())
-        return a.empty() && b.empty() ? 1.0 : 0.0;
-    // Both sets are sorted (map iteration order); linear merge.
-    std::size_t i = 0, j = 0, common = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] == b[j]) {
-            ++common;
-            ++i;
-            ++j;
-        } else if (a[i] < b[j]) {
-            ++i;
-        } else {
-            ++j;
-        }
-    }
-    const std::size_t smaller = std::min(a.size(), b.size());
-    return static_cast<double>(common) /
-        static_cast<double>(smaller);
-}
-
-double
 OnlineLinearScan::keySimilarity(const std::vector<std::uint64_t> &a,
                                 const std::vector<std::uint64_t> &b)
 {
@@ -106,13 +60,6 @@ OnlineLinearScan::keySimilarity(const std::vector<std::uint64_t> &a,
     const std::size_t smaller = std::min(a.size(), b.size());
     return static_cast<double>(common) /
         static_cast<double>(smaller);
-}
-
-double
-OnlineLinearScan::stepSimilarity(const StepStats &a,
-                                 const StepStats &b)
-{
-    return setSimilarity(a.opSet(), b.opSet());
 }
 
 std::vector<std::uint64_t>
@@ -143,12 +90,6 @@ OnlineLinearScan::opKeys(OpStatsSpan host, OpStatsSpan tpu)
         keys.push_back(
             (static_cast<std::uint64_t>(tpu[j].op) << 1) | 1);
     return keys;
-}
-
-void
-OnlineLinearScan::addStep(const StepStats &step)
-{
-    addStep(step.step, step.span(), keysFromMaps(step));
 }
 
 void

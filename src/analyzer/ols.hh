@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "proto/columnar.hh"
-#include "proto/record.hh"
 
 namespace tpupoint {
 
@@ -63,13 +62,10 @@ class OnlineLinearScan
 
     explicit OnlineLinearScan(const OlsOptions &options = {});
 
-    /** Feed the next step (ascending step order). */
-    void addStep(const StepStats &step);
-
     /**
-     * Columnar fast path: feed the next step as its wall span plus
-     * its sorted operator-key set (see opKeys()). No strings are
-     * touched until a new phase group forms.
+     * Feed the next step (ascending step order) as its wall span
+     * plus its sorted operator-key set (see opKeys()). No strings
+     * are touched until a new phase group forms.
      */
     void addStep(StepId step, SimTime span,
                  std::vector<std::uint64_t> event_keys);
@@ -111,16 +107,8 @@ class OnlineLinearScan
     /**
      * Equation 1: |events(a) ∩ events(b)| / min(|events(a)|,
      * |events(b)|), where a step's event set is its distinct
-     * operator labels.
+     * operator labels — here their sorted operator keys.
      */
-    static double stepSimilarity(const StepStats &a,
-                                 const StepStats &b);
-
-    /** Equation 1 over pre-extracted sorted label sets. */
-    static double setSimilarity(const std::vector<std::string> &a,
-                                const std::vector<std::string> &b);
-
-    /** Equation 1 over sorted operator-key sets. */
     static double
     keySimilarity(const std::vector<std::uint64_t> &a,
                   const std::vector<std::uint64_t> &b);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "core/interner.hh"
 #include "core/logging.hh"
@@ -11,23 +10,11 @@ namespace tpupoint {
 
 namespace {
 
-/**
- * Phase under construction: the phase itself plus id-keyed operator
- * accumulators. Sums fold integer-to-integer against interned ids;
- * the name-keyed OpStatsMap the Phase exposes is materialized once
- * at the end (std::map insertion re-sorts by name, so the result is
- * identical to accumulating name maps directly).
- */
-struct PhaseAccum
-{
-    Phase phase;
-    std::unordered_map<std::uint32_t, OpStats> host, tpu;
-};
-
+/** Fold row @p index of @p table into @p phase. */
 void
-foldStep(PhaseAccum &acc, const StepTable &table, std::size_t index)
+foldStep(Phase &phase, const StepTable &table, std::size_t index,
+         std::vector<ColumnarOpStats> &scratch)
 {
-    Phase &phase = acc.phase;
     const StepId sid = table.stepId(index);
     if (phase.members.empty()) {
         phase.first_step = sid;
@@ -38,30 +25,8 @@ foldStep(PhaseAccum &acc, const StepTable &table, std::size_t index)
     }
     phase.members.push_back(index);
     phase.total_duration += table.span(index);
-    for (const ColumnarOpStats &entry : table.hostOps(index)) {
-        OpStats &stats = acc.host[entry.op];
-        stats.count += entry.count;
-        stats.total_duration += entry.total_duration;
-    }
-    for (const ColumnarOpStats &entry : table.tpuOps(index)) {
-        OpStats &stats = acc.tpu[entry.op];
-        stats.count += entry.count;
-        stats.total_duration += entry.total_duration;
-    }
-}
-
-/** Resolve the id-keyed accumulators into the phase's name maps. */
-Phase
-materialize(PhaseAccum &&acc)
-{
-    const StringInterner &interner = StringInterner::global();
-    for (const auto &[id, stats] : acc.host)
-        acc.phase.host_ops.emplace(
-            std::string(interner.view(id)), stats);
-    for (const auto &[id, stats] : acc.tpu)
-        acc.phase.tpu_ops.emplace(
-            std::string(interner.view(id)), stats);
-    return std::move(acc.phase);
+    mergeOpRuns(phase.host_ops, table.hostOps(index), scratch);
+    mergeOpRuns(phase.tpu_ops, table.tpuOps(index), scratch);
 }
 
 } // namespace
@@ -72,20 +37,21 @@ phasesFromLabels(const StepTable &table,
 {
     if (labels.size() != table.size())
         panic("phasesFromLabels: label/step count mismatch");
-    std::map<int, PhaseAccum> by_label;
+    std::map<int, Phase> by_label;
+    std::vector<ColumnarOpStats> scratch;
     for (std::size_t i = 0; i < labels.size(); ++i) {
         const int key = labels[i] < 0 ? -1 : labels[i];
-        PhaseAccum &acc = by_label[key];
-        if (acc.phase.members.empty()) {
-            acc.phase.id = key;
-            acc.phase.is_noise = key < 0;
+        Phase &phase = by_label[key];
+        if (phase.members.empty()) {
+            phase.id = key;
+            phase.is_noise = key < 0;
         }
-        foldStep(acc, table, i);
+        foldStep(phase, table, i, scratch);
     }
     std::vector<Phase> out;
     out.reserve(by_label.size());
-    for (auto &[key, acc] : by_label)
-        out.push_back(materialize(std::move(acc)));
+    for (auto &[key, phase] : by_label)
+        out.push_back(std::move(phase));
     return out;
 }
 
@@ -95,12 +61,13 @@ phasesFromGroups(const StepTable &table,
 {
     std::vector<Phase> out;
     out.reserve(groups.size());
+    std::vector<ColumnarOpStats> scratch;
 
     // Map each step to its group by span membership. Spans are
     // disjoint across groups, so a per-step scan suffices.
     for (const auto &group : groups) {
-        PhaseAccum acc;
-        acc.phase.id = static_cast<int>(out.size());
+        Phase phase;
+        phase.id = static_cast<int>(out.size());
         std::size_t index = 0;
         for (const auto &span : group.spans) {
             // Spans arrive in ascending step order per group.
@@ -109,12 +76,12 @@ phasesFromGroups(const StepTable &table,
                 ++index;
             while (index < table.size() &&
                    table.stepId(index) <= span.last_step) {
-                foldStep(acc, table, index);
+                foldStep(phase, table, index, scratch);
                 ++index;
             }
         }
-        if (!acc.phase.members.empty())
-            out.push_back(materialize(std::move(acc)));
+        if (!phase.members.empty())
+            out.push_back(std::move(phase));
     }
     return out;
 }
@@ -162,21 +129,22 @@ longestPhase(const std::vector<Phase> &phases)
 }
 
 std::vector<RankedOp>
-topOps(const OpStatsMap &ops, std::size_t n)
+topOps(OpStatsSpan ops, std::size_t n)
 {
     SimTime total = 0;
-    for (const auto &[name, stats] : ops)
-        total += stats.total_duration;
+    for (const ColumnarOpStats &entry : ops)
+        total += entry.total_duration;
 
+    const StringInterner &interner = StringInterner::global();
     std::vector<RankedOp> ranked;
     ranked.reserve(ops.size());
-    for (const auto &[name, stats] : ops) {
+    for (const ColumnarOpStats &entry : ops) {
         RankedOp op;
-        op.name = name;
-        op.total_duration = stats.total_duration;
-        op.count = stats.count;
+        op.name = std::string(interner.view(entry.op));
+        op.total_duration = entry.total_duration;
+        op.count = entry.count;
         op.share = total
-            ? static_cast<double>(stats.total_duration) /
+            ? static_cast<double>(entry.total_duration) /
                 static_cast<double>(total)
             : 0.0;
         ranked.push_back(std::move(op));

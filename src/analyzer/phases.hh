@@ -26,8 +26,10 @@ struct Phase
     StepId first_step = 0;
     StepId last_step = 0;
     SimTime total_duration = 0;       ///< Sum of member spans.
-    OpStatsMap host_ops;              ///< Aggregated over members.
-    OpStatsMap tpu_ops;
+
+    /** Operator stats aggregated over members, id-sorted. */
+    std::vector<ColumnarOpStats> host_ops;
+    std::vector<ColumnarOpStats> tpu_ops;
     bool is_noise = false; ///< DBSCAN's unlabeled pseudo-cluster.
 
     /** Steps in the phase. */
@@ -70,8 +72,11 @@ struct RankedOp
     double share = 0.0; ///< Fraction of the map's total duration.
 };
 
-/** The @p n most time-consuming operators of @p ops. */
-std::vector<RankedOp> topOps(const OpStatsMap &ops, std::size_t n);
+/**
+ * The @p n most time-consuming operators of @p ops (ties broken by
+ * name), names resolved through the global interner.
+ */
+std::vector<RankedOp> topOps(OpStatsSpan ops, std::size_t n);
 
 } // namespace tpupoint
 

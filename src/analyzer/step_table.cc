@@ -3,84 +3,8 @@
 #include <algorithm>
 #include <set>
 
-#include "core/logging.hh"
 
 namespace tpupoint {
-
-namespace {
-
-/**
- * Merge the id-sorted run @p src into the id-sorted row @p dst,
- * accumulating stats for shared ids, via @p scratch (linear merge;
- * scratch capacity is retained across calls).
- */
-void
-mergeOpRuns(std::vector<ColumnarOpStats> &dst, OpStatsSpan src,
-            std::vector<ColumnarOpStats> &scratch)
-{
-    if (src.empty())
-        return;
-    if (dst.empty()) {
-        dst.assign(src.begin(), src.end());
-        return;
-    }
-    scratch.clear();
-    std::size_t i = 0, j = 0;
-    while (i < dst.size() && j < src.size()) {
-        if (dst[i].op == src[j].op) {
-            ColumnarOpStats merged = dst[i];
-            merged.count += src[j].count;
-            merged.total_duration += src[j].total_duration;
-            scratch.push_back(merged);
-            ++i;
-            ++j;
-        } else if (dst[i].op < src[j].op) {
-            scratch.push_back(dst[i]);
-            ++i;
-        } else {
-            scratch.push_back(src[j]);
-            ++j;
-        }
-    }
-    for (; i < dst.size(); ++i)
-        scratch.push_back(dst[i]);
-    for (; j < src.size(); ++j)
-        scratch.push_back(src[j]);
-    dst.assign(scratch.begin(), scratch.end());
-}
-
-/** Intern an OpStatsMap into an id-sorted entry run. */
-void
-internOpMap(const OpStatsMap &ops,
-            std::vector<ColumnarOpStats> &out)
-{
-    out.clear();
-    StringInterner &interner = StringInterner::global();
-    for (const auto &[name, stats] : ops)
-        out.push_back(ColumnarOpStats{interner.intern(name),
-                                      stats.count,
-                                      stats.total_duration});
-    std::sort(out.begin(), out.end(),
-              [](const ColumnarOpStats &a,
-                 const ColumnarOpStats &b) { return a.op < b.op; });
-}
-
-/** Materialize an id-sorted entry run back into a name map. */
-OpStatsMap
-materializeOpMap(OpStatsSpan entries)
-{
-    OpStatsMap out;
-    const StringInterner &interner = StringInterner::global();
-    for (const ColumnarOpStats &entry : entries) {
-        OpStats stats;
-        stats.count = entry.count;
-        stats.total_duration = entry.total_duration;
-        out.emplace(std::string(interner.view(entry.op)), stats);
-    }
-    return out;
-}
-
-} // namespace
 
 std::size_t
 StepTableBuilder::rowFor(StepId step, SimTime begin, SimTime end)
@@ -130,16 +54,13 @@ StepTableBuilder::rowFor(StepId step, SimTime begin, SimTime end)
 void
 StepTableBuilder::foldStep(StepId step, SimTime begin, SimTime end,
                            SimTime busy, SimTime idle, SimTime mxu,
-                           OpStatsSpan host, OpStatsSpan tpu,
-                           bool replayed_flag)
+                           OpStatsSpan host, OpStatsSpan tpu)
 {
     const std::size_t row = rowFor(step, begin, end);
     touched_floor = std::min(touched_floor, row);
     busys[row] += busy;
     idles[row] += idle;
     mxus[row] += mxu;
-    if (replayed_flag)
-        replays[row] = 1;
     mergeOpRuns(host_rows[row], host, scratch);
     mergeOpRuns(tpu_rows[row], tpu, scratch);
     for (const auto &[after, through] : replay_ranges) {
@@ -151,36 +72,13 @@ StepTableBuilder::foldStep(StepId step, SimTime begin, SimTime end,
 }
 
 void
-StepTableBuilder::ingest(const StepStats &step)
-{
-    // Convert the name maps once, then fold id-to-id like the
-    // columnar path. The scratch run must not alias the merge
-    // scratch, so convert into a local.
-    std::vector<ColumnarOpStats> host_run, tpu_run;
-    internOpMap(step.host_ops, host_run);
-    internOpMap(step.tpu_ops, tpu_run);
-    foldStep(step.step, step.begin, step.end, step.tpu_busy,
-             step.tpu_idle, step.mxu_active,
-             OpStatsSpan(host_run), OpStatsSpan(tpu_run),
-             step.replayed);
-}
-
-void
-StepTableBuilder::ingest(const ProfileRecord &record)
-{
-    for (const auto &step : record.steps)
-        ingest(step);
-    ++records_seen;
-}
-
-void
 StepTableBuilder::ingest(const ColumnarRecord &record)
 {
     for (std::size_t i = 0; i < record.stepCount(); ++i) {
         foldStep(record.step[i], record.begin[i], record.end[i],
                  record.tpu_busy[i], record.tpu_idle[i],
                  record.mxu_active[i], record.hostOps(i),
-                 record.tpuOps(i), /*replayed_flag=*/false);
+                 record.tpuOps(i));
     }
     ++records_seen;
 }
@@ -265,40 +163,12 @@ StepTableBuilder::build() &&
 }
 
 StepTable
-StepTable::fromRecords(const std::vector<ProfileRecord> &records)
+StepTable::fromRecords(const std::vector<ColumnarRecord> &records)
 {
     StepTableBuilder builder;
     for (const auto &record : records)
         builder.ingest(record);
     return std::move(builder).build();
-}
-
-StepStats
-StepTable::at(std::size_t index) const
-{
-    if (index >= ids.size())
-        panic("StepTable::at: index out of range");
-    StepStats step;
-    step.step = ids[index];
-    step.begin = begins[index];
-    step.end = ends[index];
-    step.tpu_busy = busys[index];
-    step.tpu_idle = idles[index];
-    step.mxu_active = mxus[index];
-    step.replayed = replays[index] != 0;
-    step.host_ops = materializeOpMap(hostOps(index));
-    step.tpu_ops = materializeOpMap(tpuOps(index));
-    return step;
-}
-
-std::vector<StepStats>
-StepTable::steps() const
-{
-    std::vector<StepStats> out;
-    out.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        out.push_back(at(i));
-    return out;
 }
 
 SimTime

@@ -10,9 +10,7 @@
  * CSR layout — offset columns into flat, id-sorted operator-entry
  * arrays — for the per-step operator statistics, with operator
  * names interned to dense u32 ids (core/interner). Detectors walk
- * contiguous memory and compare integer ids; the row-oriented
- * `StepStats` view is materialized on demand (`at()`, `steps()`)
- * for consumers that still want maps of names.
+ * contiguous memory and compare integer ids.
  */
 
 #ifndef TPUPOINT_ANALYZER_STEP_TABLE_HH
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "proto/columnar.hh"
-#include "proto/record.hh"
 
 namespace tpupoint {
 
@@ -40,15 +37,8 @@ class StepTable;
 class StepTableBuilder
 {
   public:
-    /** Fold one profile record into the aggregation. */
-    void ingest(const ProfileRecord &record);
-
-    /** Fold one step summary into the aggregation. */
-    void ingest(const StepStats &step);
-
     /**
-     * Columnar fast path: fold a decoded ColumnarRecord without
-     * ever materializing per-step string maps — entries merge
+     * Fold one profile record into the aggregation: entries merge
      * id-to-id by linear merge of the sorted runs.
      */
     void ingest(const ColumnarRecord &record);
@@ -137,8 +127,7 @@ class StepTableBuilder
     /** Fold one step's scalar columns + sorted op runs. */
     void foldStep(StepId step, SimTime begin, SimTime end,
                   SimTime busy, SimTime idle, SimTime mxu,
-                  OpStatsSpan host, OpStatsSpan tpu,
-                  bool replayed_flag);
+                  OpStatsSpan host, OpStatsSpan tpu);
 
     /** Parallel columns, sorted ascending by step id. */
     std::vector<StepId> ids;
@@ -149,7 +138,7 @@ class StepTableBuilder
     std::vector<std::vector<ColumnarOpStats>> host_rows;
     std::vector<std::vector<ColumnarOpStats>> tpu_rows;
 
-    /** Reused merge/convert scratch (capacity retained). */
+    /** Reused merge scratch (capacity retained). */
     std::vector<ColumnarOpStats> scratch;
 
     std::uint64_t records_seen = 0;
@@ -172,7 +161,7 @@ class StepTable
   public:
     /** Merge all records into a table (one-shot builder). */
     static StepTable fromRecords(
-        const std::vector<ProfileRecord> &records);
+        const std::vector<ColumnarRecord> &records);
 
     /** Number of steps observed. */
     std::size_t size() const { return ids.size(); }
@@ -207,16 +196,6 @@ class StepTable
         return OpStatsSpan(tpu_entries.data() + tpu_offsets[i],
                            tpu_offsets[i + 1] - tpu_offsets[i]);
     }
-
-    /**
-     * Row-oriented compatibility view of one step (by index, not
-     * step id): materializes the op maps through the interner.
-     * Panics on an out-of-range index.
-     */
-    StepStats at(std::size_t index) const;
-
-    /** All steps, ascending, materialized (compatibility view). */
-    std::vector<StepStats> steps() const;
 
     /** Sum of all step spans (the execution time phases divide). */
     SimTime totalDuration() const;

@@ -55,18 +55,6 @@ traceEvent(JsonWriter &w, const std::string &name, int pid,
 
 void
 writeChromeTrace(const AnalysisResult &analysis,
-                 const std::vector<ProfileRecord> &records,
-                 std::ostream &out)
-{
-    std::vector<ProfileWindowInfo> windows;
-    windows.reserve(records.size());
-    for (const auto &record : records)
-        windows.emplace_back(record);
-    writeChromeTrace(analysis, windows, out);
-}
-
-void
-writeChromeTrace(const AnalysisResult &analysis,
                  const std::vector<ProfileWindowInfo> &windows,
                  std::ostream &out)
 {

@@ -18,7 +18,7 @@
 namespace tpupoint {
 
 /**
- * The slice of a ProfileRecord the trace viewer needs. Collected
+ * The slice of a profile record the trace viewer needs. Collected
  * by streaming consumers so records themselves don't have to stay
  * resident just to draw the Profile Breakdown track.
  */
@@ -30,14 +30,6 @@ struct ProfileWindowInfo
     bool truncated = false;
 
     ProfileWindowInfo() = default;
-
-    explicit ProfileWindowInfo(const ProfileRecord &record)
-        : sequence(record.sequence),
-          window_begin(record.window_begin),
-          window_end(record.window_end),
-          truncated(record.truncated)
-    {
-    }
 
     explicit ProfileWindowInfo(const ColumnarRecord &record)
         : sequence(record.sequence),
@@ -54,11 +46,6 @@ struct ProfileWindowInfo
  */
 void writeChromeTrace(const AnalysisResult &analysis,
                       const std::vector<ProfileWindowInfo> &windows,
-                      std::ostream &out);
-
-/** Convenience overload over fully-materialized records. */
-void writeChromeTrace(const AnalysisResult &analysis,
-                      const std::vector<ProfileRecord> &records,
                       std::ostream &out);
 
 /**

@@ -5,7 +5,7 @@
  * Cloud TPU stack feeds — chrome://tracing and Perfetto both load
  * the trace-event JSON produced here. Two sources share the format:
  *
- *  - ProfileTraceWriter turns a stream of ProfileRecords into
+ *  - ProfileTraceWriter turns a stream of profile records into
  *    device/host tracks: one `X` duration event per per-step
  *    operator row, a step track, a profile-window track, counter
  *    tracks for idle/MXU, and an instant event at every
@@ -24,11 +24,12 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "core/json.hh"
 #include "obs/span.hh"
-#include "proto/record.hh"
+#include "proto/columnar.hh"
 
 namespace tpupoint {
 namespace obs {
@@ -70,7 +71,7 @@ class ProfileTraceWriter
     ~ProfileTraceWriter();
 
     /** Export one record (window, steps, ops or boundary). */
-    void add(const ProfileRecord &record);
+    void add(const ColumnarRecord &record);
 
     /** Close the trace document. Idempotent. */
     void finish();
@@ -86,11 +87,10 @@ class ProfileTraceWriter
 
   private:
     void metadataEvent(int tid, const char *label);
-    void durationEvent(const std::string &name, int tid,
+    void durationEvent(std::string_view name, int tid,
                        SimTime start, SimTime duration,
                        std::uint64_t count = 0);
-    void opRows(const StepStats &step, const OpStatsMap &ops,
-                int tid);
+    void opRows(SimTime step_begin, OpStatsSpan ops, int tid);
 
     std::ostream &stream;
     ProfileTraceOptions opts;
@@ -99,10 +99,11 @@ class ProfileTraceWriter
     std::uint64_t x_events = 0;
     std::uint64_t i_events = 0;
     std::uint64_t filtered = 0;
+    std::vector<NamedOpStats> named; ///< opRows() scratch.
 };
 
 /** One-shot export over materialized records. */
-void writeProfileTrace(const std::vector<ProfileRecord> &records,
+void writeProfileTrace(const std::vector<ColumnarRecord> &records,
                        std::ostream &out,
                        const ProfileTraceOptions &options = {});
 

@@ -11,14 +11,20 @@ namespace {
 
 /** The common operator pattern of Section VI (Observations 3-4). */
 bool
-matchesCommonPattern(const OpStatsMap &tpu, const OpStatsMap &host)
+matchesCommonPattern(OpStatsSpan tpu, OpStatsSpan host)
 {
-    // Merge and rank by duration.
+    // Merge (TPU then host, each in name order) and rank by
+    // duration.
     std::vector<std::pair<std::string, SimTime>> ranked;
-    for (const auto &[name, stats] : tpu)
-        ranked.emplace_back("tpu:" + name, stats.total_duration);
-    for (const auto &[name, stats] : host)
-        ranked.emplace_back("host:" + name, stats.total_duration);
+    std::vector<NamedOpStats> named;
+    opsByName(tpu, StringInterner::global(), named);
+    for (const NamedOpStats &entry : named)
+        ranked.emplace_back("tpu:" + std::string(entry.name),
+                            entry.total_duration);
+    opsByName(host, StringInterner::global(), named);
+    for (const NamedOpStats &entry : named)
+        ranked.emplace_back("host:" + std::string(entry.name),
+                            entry.total_duration);
     std::sort(ranked.begin(), ranked.end(),
               [](const auto &a, const auto &b) {
                   return a.second > b.second;
@@ -102,14 +108,18 @@ OnlineTuner::pollRecords()
 
     // Track phases over newly arrived records.
     for (; records_seen < records.size(); ++records_seen) {
-        const ProfileRecord &record = records[records_seen];
-        for (const StepStats &step : record.steps) {
-            observed_time += step.span();
+        const ColumnarRecord &record = records[records_seen];
+        for (std::size_t i = 0; i < record.stepCount(); ++i) {
+            const SimTime span = record.stepSpan(i);
+            observed_time += span;
 
+            std::vector<std::uint64_t> keys =
+                OnlineLinearScan::opKeys(record.hostOps(i),
+                                         record.tpuOps(i));
             if (have_prev_step) {
                 const double similarity =
-                    OnlineLinearScan::stepSimilarity(prev_step,
-                                                     step);
+                    OnlineLinearScan::keySimilarity(prev_keys,
+                                                    keys);
                 if (similarity < opts.ols_threshold) {
                     // Phase boundary: reset the running phase.
                     current_phase_time = 0;
@@ -117,12 +127,12 @@ OnlineTuner::pollRecords()
                     phase_host_ops.clear();
                 }
             }
-            current_phase_time += step.span();
-            for (const auto &[name, stats] : step.tpu_ops)
-                phase_tpu_ops[name].merge(stats);
-            for (const auto &[name, stats] : step.host_ops)
-                phase_host_ops[name].merge(stats);
-            prev_step = step;
+            current_phase_time += span;
+            mergeOpRuns(phase_tpu_ops, record.tpuOps(i),
+                        merge_scratch);
+            mergeOpRuns(phase_host_ops, record.hostOps(i),
+                        merge_scratch);
+            prev_keys = std::move(keys);
             have_prev_step = true;
 
             if (state == State::WaitCritical) {

@@ -113,10 +113,11 @@ class OnlineTuner
     std::size_t records_seen = 0;
     SimTime observed_time = 0;
     SimTime current_phase_time = 0;
-    StepStats prev_step;
+    std::vector<std::uint64_t> prev_keys; ///< OLS key set.
     bool have_prev_step = false;
-    OpStatsMap phase_tpu_ops;
-    OpStatsMap phase_host_ops;
+    std::vector<ColumnarOpStats> phase_tpu_ops; ///< Id-sorted.
+    std::vector<ColumnarOpStats> phase_host_ops;
+    std::vector<ColumnarOpStats> merge_scratch;
 
     // Hill climbing.
     State state = State::WaitCritical;

@@ -95,8 +95,8 @@ void
 TpuPointProfiler::handleResponse()
 {
     ++requests;
-    ProfileRecord record = collector.harvest(sim.now());
-    if (record.event_count == 0 && record.steps.empty())
+    ColumnarRecord record = collector.harvest(sim.now());
+    if (record.event_count == 0 && record.stepCount() == 0)
         return; // nothing happened in this window
     record.attempt = opts.attempt;
     ++records_recorded;
@@ -117,7 +117,7 @@ TpuPointProfiler::handleResponse()
         profile_records.push_back(std::move(record));
 }
 
-const std::vector<ProfileRecord> &
+const std::vector<ColumnarRecord> &
 TpuPointProfiler::records() const
 {
     if (!opts.retain_records && records_recorded > 0)

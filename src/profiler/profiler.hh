@@ -123,7 +123,7 @@ class TpuPointProfiler
      * All records harvested so far (host-memory buffer).
      * @pre ProfilerOptions::retain_records
      */
-    const std::vector<ProfileRecord> &records() const;
+    const std::vector<ColumnarRecord> &records() const;
 
     /** Records harvested, independent of retention. */
     std::uint64_t recordsRecorded() const
@@ -155,7 +155,7 @@ class TpuPointProfiler
     ProfilerOptions opts;
     StatsCollector collector;
     std::unique_ptr<obs::TraceSpan> run_span;
-    std::vector<ProfileRecord> profile_records;
+    std::vector<ColumnarRecord> profile_records;
     std::unique_ptr<RecordSpool> spool;
     RecordSpool *external_spool = nullptr;
     std::ostream *sink = nullptr;

@@ -1,152 +1,15 @@
 #include "proto/serialize.hh"
 
-#include "core/json.hh"
 #include "core/logging.hh"
-#include "trace/bytes.hh"
 
 namespace tpupoint {
-
-namespace {
-
-void
-putOpStatsMap(ByteWriter &out, const OpStatsMap &ops)
-{
-    out.putU32(static_cast<std::uint32_t>(ops.size()));
-    for (const auto &[name, stats] : ops) {
-        out.putString(name);
-        out.putU64(stats.count);
-        out.putI64(stats.total_duration);
-    }
-}
-
-bool
-getOpStatsMap(ByteReader &in, OpStatsMap &ops)
-{
-    std::uint32_t count;
-    if (!in.getU32(count))
-        return false;
-    ops.clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::string name;
-        OpStats stats;
-        if (!in.getString(name) || !in.getU64(stats.count) ||
-            !in.getI64(stats.total_duration))
-            return false;
-        ops.emplace(std::move(name), stats);
-    }
-    return true;
-}
-
-void
-jsonOpStatsMap(JsonWriter &w, const OpStatsMap &ops)
-{
-    w.beginObject();
-    for (const auto &[name, stats] : ops) {
-        w.key(name);
-        w.beginObject();
-        w.field("count", stats.count);
-        w.field("total_duration_ns", stats.total_duration);
-        w.endObject();
-    }
-    w.endObject();
-}
-
-} // namespace
-
-std::string
-encodeProfileRecord(const ProfileRecord &record)
-{
-    ByteWriter out;
-    out.putU64(record.sequence);
-    out.putI64(record.window_begin);
-    out.putI64(record.window_end);
-    out.putU64(record.event_count);
-    out.putU32(record.truncated ? 1 : 0);
-    out.putF64(record.tpu_idle_fraction);
-    out.putF64(record.mxu_utilization);
-    out.putU64(record.retries);
-    out.putI64(record.retry_time);
-    out.putU32(static_cast<std::uint32_t>(record.steps.size()));
-    for (const auto &s : record.steps) {
-        out.putU64(s.step);
-        out.putI64(s.begin);
-        out.putI64(s.end);
-        out.putI64(s.tpu_busy);
-        out.putI64(s.tpu_idle);
-        out.putI64(s.mxu_active);
-        putOpStatsMap(out, s.host_ops);
-        putOpStatsMap(out, s.tpu_ops);
-    }
-    // Container v4: the attempt-continuity tail. Appended after the
-    // steps so v3 payloads decode as records that simply end here.
-    out.putU32(record.attempt);
-    out.putU32(record.attempt_boundary ? 1 : 0);
-    out.putU64(record.preempted_at_step);
-    out.putU64(record.resume_step);
-    // Container v5: the transport-cap drop count; v4 payloads end
-    // above and decode with events_dropped = 0.
-    out.putU64(record.events_dropped);
-    return std::move(out).str();
-}
-
-bool
-decodeProfileRecord(std::string_view payload,
-                    ProfileRecord &record)
-{
-    record = ProfileRecord();
-    ByteReader in(payload);
-    std::uint32_t truncated = 0;
-    std::uint32_t num_steps = 0;
-    if (!in.getU64(record.sequence) ||
-        !in.getI64(record.window_begin) ||
-        !in.getI64(record.window_end) ||
-        !in.getU64(record.event_count) ||
-        !in.getU32(truncated) ||
-        !in.getF64(record.tpu_idle_fraction) ||
-        !in.getF64(record.mxu_utilization) ||
-        !in.getU64(record.retries) ||
-        !in.getI64(record.retry_time) ||
-        !in.getU32(num_steps))
-        return false;
-    record.truncated = truncated != 0;
-    // Each step needs at least 56 payload bytes (six 8-byte
-    // fields plus two empty op maps); reject counts the remaining
-    // payload cannot possibly hold before resizing.
-    if (num_steps > in.remaining() / 56)
-        return false;
-    record.steps.resize(num_steps);
-    for (auto &s : record.steps) {
-        if (!in.getU64(s.step) || !in.getI64(s.begin) ||
-            !in.getI64(s.end) || !in.getI64(s.tpu_busy) ||
-            !in.getI64(s.tpu_idle) || !in.getI64(s.mxu_active) ||
-            !getOpStatsMap(in, s.host_ops) ||
-            !getOpStatsMap(in, s.tpu_ops))
-            return false;
-    }
-    // A v3 payload ends here; a v4 payload carries the
-    // attempt-continuity tail.
-    if (in.atEnd())
-        return true;
-    std::uint32_t boundary = 0;
-    if (!in.getU32(record.attempt) || !in.getU32(boundary) ||
-        !in.getU64(record.preempted_at_step) ||
-        !in.getU64(record.resume_step))
-        return false;
-    record.attempt_boundary = boundary != 0;
-    // A v4 payload ends here; v5 adds the drop count.
-    if (in.atEnd())
-        return true;
-    if (!in.getU64(record.events_dropped))
-        return false;
-    return in.atEnd();
-}
 
 ProfileWriter::ProfileWriter(std::ostream &out) : framing(out)
 {
 }
 
 void
-ProfileWriter::write(const ProfileRecord &record)
+ProfileWriter::write(const ColumnarRecord &record)
 {
     framing.append(encodeProfileRecord(record));
 }
@@ -159,13 +22,15 @@ ProfileReader::ProfileReader(std::istream &in, bool salvage)
 }
 
 bool
-ProfileReader::read(ProfileRecord &record)
+ProfileReader::read(ColumnarRecord &record,
+                    StringInterner &interner)
 {
     std::string_view payload;
     for (;;) {
         switch (framing.next(payload)) {
           case StreamStatus::Ok:
-            if (!decodeProfileRecord(payload, record)) {
+            if (!decodeProfileRecordColumnar(payload, record,
+                                             interner)) {
                 if (framing.salvaging()) {
                     // The chunk CRC passed but this payload does
                     // not decode (written damaged, or a version
@@ -186,82 +51,14 @@ ProfileReader::read(ProfileRecord &record)
     }
 }
 
-bool
-ProfileReader::read(ColumnarRecord &record,
-                    StringInterner &interner)
-{
-    std::string_view payload;
-    for (;;) {
-        switch (framing.next(payload)) {
-          case StreamStatus::Ok:
-            if (!decodeProfileRecordColumnar(payload, record,
-                                             interner)) {
-                if (framing.salvaging()) {
-                    ++undecodable;
-                    continue;
-                }
-                fatal("ProfileReader: malformed record payload");
-            }
-            return true;
-          case StreamStatus::End:
-            return false;
-          case StreamStatus::Truncated:
-          case StreamStatus::Corrupt:
-            fatal("ProfileReader: ", framing.error());
-        }
-        panic("ProfileReader: unreachable stream status");
-    }
-}
-
-std::vector<ProfileRecord>
+std::vector<ColumnarRecord>
 ProfileReader::readAll()
 {
-    std::vector<ProfileRecord> records;
-    ProfileRecord record;
+    std::vector<ColumnarRecord> records;
+    ColumnarRecord record;
     while (read(record))
         records.push_back(std::move(record));
     return records;
-}
-
-void
-profileRecordToJson(const ProfileRecord &record, std::ostream &out,
-                    bool pretty)
-{
-    JsonWriter w(out, pretty);
-    w.beginObject();
-    w.field("sequence", record.sequence);
-    w.field("window_begin_ns", record.window_begin);
-    w.field("window_end_ns", record.window_end);
-    w.field("event_count", record.event_count);
-    w.field("truncated", record.truncated);
-    w.field("events_dropped", record.events_dropped);
-    w.field("tpu_idle_fraction", record.tpu_idle_fraction);
-    w.field("mxu_utilization", record.mxu_utilization);
-    w.field("retries", record.retries);
-    w.field("retry_time_ns", record.retry_time);
-    w.field("attempt",
-            static_cast<std::uint64_t>(record.attempt));
-    w.field("attempt_boundary", record.attempt_boundary);
-    w.field("preempted_at_step", record.preempted_at_step);
-    w.field("resume_step", record.resume_step);
-    w.key("steps");
-    w.beginArray();
-    for (const auto &s : record.steps) {
-        w.beginObject();
-        w.field("step", s.step);
-        w.field("begin_ns", s.begin);
-        w.field("end_ns", s.end);
-        w.field("tpu_busy_ns", s.tpu_busy);
-        w.field("tpu_idle_ns", s.tpu_idle);
-        w.field("mxu_active_ns", s.mxu_active);
-        w.key("host_ops");
-        jsonOpStatsMap(w, s.host_ops);
-        w.key("tpu_ops");
-        jsonOpStatsMap(w, s.tpu_ops);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
 }
 
 } // namespace tpupoint

@@ -1,16 +1,15 @@
 /**
  * @file
- * Profile-record serialization. TPUPoint-Profiler's recording thread
- * streams records into cloud storage; this module defines the
- * compact binary wire format (the stand-in for the Protobuf
- * messages the real toolchain uses) plus a JSON form for
- * interoperability and debugging.
+ * Profile container I/O. TPUPoint-Profiler's recording thread
+ * streams records into cloud storage as a container of encoded
+ * records (the stand-in for the Protobuf messages the real
+ * toolchain uses).
  *
- * The record encoding lives here; container framing (chunking,
- * versioning, checksums, truncation detection) is delegated to the
- * trace transport layer (`trace/record_stream`). ProfileWriter and
- * ProfileReader are the typed convenience wrappers every producer
- * and consumer goes through.
+ * The record encoding lives in `proto/columnar`; container framing
+ * (chunking, versioning, checksums, truncation detection) is
+ * delegated to the trace transport layer (`trace/record_stream`).
+ * ProfileWriter and ProfileReader are the typed convenience
+ * wrappers every producer and consumer goes through.
  */
 
 #ifndef TPUPOINT_PROTO_SERIALIZE_HH
@@ -23,20 +22,9 @@
 #include <vector>
 
 #include "proto/columnar.hh"
-#include "proto/record.hh"
 #include "trace/record_stream.hh"
 
 namespace tpupoint {
-
-/** Encode one record's wire payload (no container framing). */
-std::string encodeProfileRecord(const ProfileRecord &record);
-
-/**
- * Decode one record from its wire payload.
- * @return false when the payload is malformed or has slack bytes.
- */
-bool decodeProfileRecord(std::string_view payload,
-                         ProfileRecord &record);
 
 /**
  * Streaming binary writer. Records can be appended one at a time —
@@ -51,7 +39,7 @@ class ProfileWriter
     explicit ProfileWriter(std::ostream &out);
 
     /** Append one record. */
-    void write(const ProfileRecord &record);
+    void write(const ColumnarRecord &record);
 
     /** Flush buffered chunks and write the end marker. */
     void finish() { framing.finish(); }
@@ -90,26 +78,20 @@ class ProfileReader
     explicit ProfileReader(std::istream &in, bool salvage = false);
 
     /**
-     * Read the next record. Truncated or corrupt streams throw
+     * Read the next record into a reusable ColumnarRecord,
+     * interning op names into @p interner (the process-global one
+     * by default). With one record reused across calls, the
+     * steady-state loop — chunk buffer, record columns, interner —
+     * does no heap allocation. Truncated or corrupt streams throw
      * via fatal() with the transport layer's diagnosis (salvage
      * mode drops the damage and reads on instead).
-     * @return false at end of stream.
-     */
-    bool read(ProfileRecord &record);
-
-    /**
-     * Columnar fast path: read the next record straight into a
-     * reusable ColumnarRecord, interning op names into
-     * @p interner (the process-global one by default). With one
-     * record reused across calls, the steady-state loop — chunk
-     * buffer, record columns, interner — does no heap allocation.
      * @return false at end of stream.
      */
     bool read(ColumnarRecord &record,
               StringInterner &interner = StringInterner::global());
 
     /** Read every remaining record. */
-    std::vector<ProfileRecord> readAll();
+    std::vector<ColumnarRecord> readAll();
 
     /** Bytes consumed from the underlying stream so far. */
     std::uint64_t bytesRead() const { return framing.bytesRead(); }
@@ -159,10 +141,6 @@ class ProfileReader
     RecordStreamReader framing;
     std::uint64_t undecodable = 0;
 };
-
-/** Serialize one record as a JSON object into @p out. */
-void profileRecordToJson(const ProfileRecord &record,
-                         std::ostream &out, bool pretty = false);
 
 } // namespace tpupoint
 

@@ -8,6 +8,20 @@
 
 namespace tpupoint {
 
+ColumnarRecord
+attemptBoundaryRecord(const AttemptOutcome &failed,
+                      StepId resume_step)
+{
+    ColumnarRecord boundary;
+    boundary.attempt = failed.index + 1;
+    boundary.attempt_boundary = true;
+    boundary.preempted_at_step = failed.reached_step;
+    boundary.resume_step = resume_step;
+    boundary.window_begin = failed.ended_at;
+    boundary.window_end = failed.ended_at;
+    return boundary;
+}
+
 ResilientRunner::ResilientRunner(Simulator &simulator,
                                  const SessionConfig &session_config,
                                  const RuntimeWorkload &workload_def,

@@ -25,6 +25,7 @@
 #include <functional>
 #include <vector>
 
+#include "proto/columnar.hh"
 #include "runtime/session.hh"
 
 namespace tpupoint {
@@ -63,6 +64,15 @@ struct AttemptOutcome
     SimTime began_at = 0;
     SimTime ended_at = 0;
 };
+
+/**
+ * The attempt-boundary marker record (container v4) that goes into
+ * a profile between a preempted attempt's records and the next
+ * attempt's: attempt @p failed.index + 1 resumes at
+ * @p resume_step after @p failed stopped at its reached step.
+ */
+ColumnarRecord attemptBoundaryRecord(const AttemptOutcome &failed,
+                                     StepId resume_step);
 
 /** Outcome of the whole resilient run. */
 struct ResilientResult

@@ -61,14 +61,8 @@ runResilientJob(const SweepJob &job, std::size_t index,
             // marker, then (next iteration) the restarted
             // attempt's records.
             harvest();
-            ProfileRecord boundary;
-            boundary.attempt = failed.index + 1;
-            boundary.attempt_boundary = true;
-            boundary.preempted_at_step = failed.reached_step;
-            boundary.resume_step = resume;
-            boundary.window_begin = failed.ended_at;
-            boundary.window_end = failed.ended_at;
-            outcome.records.push_back(boundary);
+            outcome.records.push_back(
+                attemptBoundaryRecord(failed, resume));
         });
     }
 

@@ -71,7 +71,7 @@ struct SweepOutcome
     std::uint64_t replayed_steps = 0;
 
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     std::vector<CheckpointInfo> checkpoints;
     std::uint64_t profiler_bytes = 0;
     std::uint64_t profile_requests = 0;

@@ -8,10 +8,12 @@
 namespace tpupoint {
 namespace {
 
+using testutil::findOp;
 using testutil::makeRecord;
+using testutil::SyntheticStep;
 using testutil::threePhaseRun;
 
-std::vector<ProfileRecord>
+std::vector<ColumnarRecord>
 syntheticRecords()
 {
     return {makeRecord(threePhaseRun())};
@@ -30,7 +32,7 @@ TEST(AnalyzerTest, OlsFindsThreePhasesWithFullCoverage)
     EXPECT_FALSE(result.ols_groups.empty());
     ASSERT_NE(result.longest(), nullptr);
     // The train phase dominates.
-    EXPECT_TRUE(result.longest()->tpu_ops.count("fusion"));
+    EXPECT_NE(findOp(result.longest()->tpu_ops, "fusion"), nullptr);
 }
 
 TEST(AnalyzerTest, KMeansSweepSelectsSmallK)
@@ -119,19 +121,19 @@ TEST(AnalyzerTest, StitchesAttemptBoundariesWithoutDoubleCount)
     // resumes from a step-20 checkpoint and re-runs 21..30 before
     // continuing to 50. The uninterrupted equivalent is the same
     // run without the boundary.
-    const std::vector<StepStats> all = threePhaseRun(21, 8);
+    const std::vector<SyntheticStep> all = threePhaseRun(21, 8);
     ASSERT_EQ(all.size(), 51u);
 
-    std::vector<ProfileRecord> stitched;
+    std::vector<ColumnarRecord> stitched;
     stitched.push_back(makeRecord(
         {all.begin(), all.begin() + 31}, 0));
-    ProfileRecord boundary;
+    ColumnarRecord boundary;
     boundary.attempt = 1;
     boundary.attempt_boundary = true;
     boundary.preempted_at_step = 30;
     boundary.resume_step = 20;
     stitched.push_back(boundary);
-    ProfileRecord rerun =
+    ColumnarRecord rerun =
         makeRecord({all.begin() + 21, all.end()}, 1);
     rerun.attempt = 1;
     stitched.push_back(rerun);
@@ -146,8 +148,8 @@ TEST(AnalyzerTest, StitchesAttemptBoundariesWithoutDoubleCount)
     EXPECT_EQ(a.discarded_steps, 10u); // dropped rows 21..30
     EXPECT_GT(a.discarded_time, 0);
     std::uint64_t flagged = 0;
-    for (const auto &row : a.table.steps())
-        flagged += row.replayed ? 1 : 0;
+    for (std::size_t i = 0; i < a.table.size(); ++i)
+        flagged += a.table.replayed(i) ? 1 : 0;
     EXPECT_EQ(flagged, 10u);
 
     // Identical aggregates to the uninterrupted run: nothing
@@ -155,8 +157,8 @@ TEST(AnalyzerTest, StitchesAttemptBoundariesWithoutDoubleCount)
     ASSERT_EQ(a.table.size(), b.table.size());
     EXPECT_EQ(a.table.totalDuration(), b.table.totalDuration());
     for (std::size_t i = 0; i < a.table.size(); ++i) {
-        EXPECT_EQ(a.table.at(i).step, b.table.at(i).step);
-        EXPECT_EQ(a.table.at(i).tpu_busy, b.table.at(i).tpu_busy);
+        EXPECT_EQ(a.table.stepId(i), b.table.stepId(i));
+        EXPECT_EQ(a.table.tpuBusy(i), b.table.tpuBusy(i));
     }
     EXPECT_EQ(b.attempts, 1u);
     EXPECT_EQ(b.replayed_steps, 0u);

@@ -14,7 +14,7 @@ using testutil::makeRecord;
 using testutil::makeStep;
 
 AnalysisResult
-analyzeSteps(std::vector<StepStats> steps)
+analyzeSteps(std::vector<testutil::SyntheticStep> steps)
 {
     return TpuPointAnalyzer().analyze(
         {makeRecord(std::move(steps))});
@@ -22,7 +22,7 @@ analyzeSteps(std::vector<StepStats> steps)
 
 TEST(CompareTest, SharesAndDeltas)
 {
-    std::vector<StepStats> run_a, run_b;
+    std::vector<testutil::SyntheticStep> run_a, run_b;
     for (StepId i = 0; i < 20; ++i) {
         run_a.push_back(makeStep(i, {"fusion", "MatMul"},
                                  {"OutfeedDequeueTuple"}));
@@ -52,7 +52,7 @@ TEST(CompareTest, SharesAndDeltas)
 
 TEST(CompareTest, MoversFilterByThreshold)
 {
-    std::vector<StepStats> run_a, run_b;
+    std::vector<testutil::SyntheticStep> run_a, run_b;
     for (StepId i = 0; i < 10; ++i) {
         run_a.push_back(makeStep(i, {"fusion"}));
         run_b.push_back(makeStep(i, {"Infeed", "fusion"}));
@@ -89,7 +89,7 @@ TEST(CompareTest, EmptyAnalysesAreSafe)
 
 TEST(CompareTest, ReportMentionsOperatorsAndLabels)
 {
-    std::vector<StepStats> run_a, run_b;
+    std::vector<testutil::SyntheticStep> run_a, run_b;
     for (StepId i = 0; i < 10; ++i) {
         run_a.push_back(makeStep(i, {"fusion", "MatMul"}));
         run_b.push_back(makeStep(i, {"fusion", "Reshape"}));

@@ -16,7 +16,7 @@ namespace {
 using testutil::makeRecord;
 using testutil::threePhaseRun;
 
-std::vector<ProfileRecord>
+std::vector<ColumnarRecord>
 syntheticRecords()
 {
     return {makeRecord(threePhaseRun())};

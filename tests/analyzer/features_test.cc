@@ -19,7 +19,7 @@ TEST(FeaturesTest, TwoDimensionsPerOp)
     const FeatureMatrix features = FeatureMatrix::build(table);
     // 2 distinct ops x (count, duration) = 4 dims.
     EXPECT_EQ(features.dimensions(), 4u);
-    EXPECT_EQ(features.rows().size(), 2u);
+    EXPECT_EQ(features.matrix().rows(), 2u);
     EXPECT_FALSE(features.pcaApplied());
     EXPECT_EQ(features.rawDimensions().size(), 2u);
 }
@@ -45,11 +45,10 @@ TEST(FeaturesTest, MissingOpsAreZero)
     const FeatureMatrix features =
         FeatureMatrix::build(table, options);
     // Step 1 lacks MatMul: some dimension must be exactly zero.
-    // (rows() returns by value; bind it before indexing in.)
-    const std::vector<FeatureVector> rows = features.rows();
+    const Matrix &data = features.matrix();
     bool has_zero = false;
-    for (const double x : rows[1])
-        has_zero |= x == 0.0;
+    for (std::size_t c = 0; c < data.cols(); ++c)
+        has_zero |= data.at(1, c) == 0.0;
     EXPECT_TRUE(has_zero);
 }
 
@@ -59,17 +58,18 @@ TEST(FeaturesTest, NormalizationBoundsDimensions)
                               makeStep(1, {"fusion"})});
     const StepTable table = StepTable::fromRecords({record});
     const FeatureMatrix features = FeatureMatrix::build(table);
-    for (const auto &row : features.rows())
-        for (const double x : row) {
-            EXPECT_GE(x, -1.0);
-            EXPECT_LE(x, 1.0);
+    const Matrix &data = features.matrix();
+    for (std::size_t r = 0; r < data.rows(); ++r)
+        for (std::size_t c = 0; c < data.cols(); ++c) {
+            EXPECT_GE(data.at(r, c), -1.0);
+            EXPECT_LE(data.at(r, c), 1.0);
         }
 }
 
 TEST(FeaturesTest, PcaCapsDimensions)
 {
     // Manufacture steps with many distinct op labels.
-    std::vector<StepStats> steps;
+    std::vector<testutil::SyntheticStep> steps;
     for (StepId s = 0; s < 20; ++s) {
         std::vector<std::string> ops;
         for (int i = 0; i < 40; ++i)
@@ -85,7 +85,7 @@ TEST(FeaturesTest, PcaCapsDimensions)
         FeatureMatrix::build(table, options);
     EXPECT_TRUE(features.pcaApplied());
     EXPECT_LE(features.dimensions(), 10u);
-    EXPECT_EQ(features.rows().size(), 20u);
+    EXPECT_EQ(features.matrix().rows(), 20u);
 }
 
 TEST(FeaturesTest, PaperDefaultCapIsOneHundred)
@@ -97,7 +97,7 @@ TEST(FeaturesTest, EmptyTable)
 {
     const StepTable table = StepTable::fromRecords({});
     const FeatureMatrix features = FeatureMatrix::build(table);
-    EXPECT_EQ(features.rows().size(), 0u);
+    EXPECT_EQ(features.matrix().rows(), 0u);
     EXPECT_EQ(features.dimensions(), 0u);
 }
 

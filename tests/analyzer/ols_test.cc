@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analyzer/ols.hh"
 #include "tests/analyzer/synthetic.hh"
@@ -11,26 +14,41 @@ namespace tpupoint {
 namespace {
 
 using testutil::makeStep;
+using testutil::SyntheticStep;
 using testutil::threePhaseRun;
+
+/** Equation 1 between two steps' operator-key sets. */
+double
+similarity(const SyntheticStep &a, const SyntheticStep &b)
+{
+    return OnlineLinearScan::keySimilarity(a.keys(), b.keys());
+}
+
+/** Feed one step to @p ols. */
+void
+feed(OnlineLinearScan &ols, const SyntheticStep &step)
+{
+    ols.addStep(step.step, step.span(), step.keys());
+}
 
 TEST(OlsSimilarityTest, EquationOneExamples)
 {
     // Identical sets -> 1.0.
     const auto a = makeStep(0, {"fusion", "MatMul"});
     const auto b = makeStep(1, {"fusion", "MatMul"});
-    EXPECT_DOUBLE_EQ(OnlineLinearScan::stepSimilarity(a, b), 1.0);
+    EXPECT_DOUBLE_EQ(similarity(a, b), 1.0);
 
     // Disjoint sets -> 0.0.
     const auto c = makeStep(2, {"Reshape"});
-    EXPECT_DOUBLE_EQ(OnlineLinearScan::stepSimilarity(a, c), 0.0);
+    EXPECT_DOUBLE_EQ(similarity(a, c), 0.0);
 
     // Subset: intersection over the *smaller* set -> 1.0.
     const auto d = makeStep(3, {"fusion"});
-    EXPECT_DOUBLE_EQ(OnlineLinearScan::stepSimilarity(a, d), 1.0);
+    EXPECT_DOUBLE_EQ(similarity(a, d), 1.0);
 
     // Partial overlap: |{fusion}| / min(2, 2) = 0.5.
     const auto e = makeStep(4, {"fusion", "Reshape"});
-    EXPECT_DOUBLE_EQ(OnlineLinearScan::stepSimilarity(a, e), 0.5);
+    EXPECT_DOUBLE_EQ(similarity(a, e), 0.5);
 }
 
 TEST(OlsSimilarityTest, EmptySets)
@@ -39,9 +57,9 @@ TEST(OlsSimilarityTest, EmptySets)
     const auto empty2 = makeStep(1, {});
     const auto full = makeStep(2, {"MatMul"});
     EXPECT_DOUBLE_EQ(
-        OnlineLinearScan::stepSimilarity(empty1, empty2), 1.0);
+        similarity(empty1, empty2), 1.0);
     EXPECT_DOUBLE_EQ(
-        OnlineLinearScan::stepSimilarity(empty1, full), 0.0);
+        similarity(empty1, full), 0.0);
 }
 
 TEST(OlsSimilarityTest, DevicePrefixSeparatesNamesakes)
@@ -50,15 +68,41 @@ TEST(OlsSimilarityTest, DevicePrefixSeparatesNamesakes)
     const auto host_side = makeStep(0, {}, {"ArgMax"});
     const auto tpu_side = makeStep(1, {"ArgMax"}, {});
     EXPECT_DOUBLE_EQ(
-        OnlineLinearScan::stepSimilarity(host_side, tpu_side),
+        similarity(host_side, tpu_side),
         0.0);
+}
+
+TEST(OlsTest, OpKeysTagDeviceSideAndSort)
+{
+    // Host keys are id * 2, TPU keys id * 2 + 1, merged ascending;
+    // a phase signature materializes them as prefixed labels,
+    // sorted ("host:" before "tpu:").
+    const auto step =
+        makeStep(0, {"MatMul", "Relu"}, {"RunGraph"});
+    const std::vector<std::uint64_t> keys = step.keys();
+    ASSERT_EQ(keys.size(), 3u);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    auto has = [&keys](std::uint64_t key) {
+        return std::find(keys.begin(), keys.end(), key) != keys.end();
+    };
+    EXPECT_TRUE(has(std::uint64_t{step.host_ops[0].op} * 2));
+    for (const ColumnarOpStats &entry : step.tpu_ops)
+        EXPECT_TRUE(has(std::uint64_t{entry.op} * 2 + 1));
+
+    OnlineLinearScan ols;
+    feed(ols, step);
+    ols.finish();
+    ASSERT_EQ(ols.phases().size(), 1u);
+    const std::vector<std::string> expected{
+        "host:RunGraph", "tpu:MatMul", "tpu:Relu"};
+    EXPECT_EQ(ols.phases()[0].signature, expected);
 }
 
 TEST(OlsTest, UniformRunIsOnePhase)
 {
     OnlineLinearScan ols;
     for (StepId i = 0; i < 50; ++i)
-        ols.addStep(makeStep(i, {"fusion", "MatMul"}));
+        feed(ols, makeStep(i, {"fusion", "MatMul"}));
     ols.finish();
     EXPECT_EQ(ols.spans().size(), 1u);
     EXPECT_EQ(ols.phases().size(), 1u);
@@ -69,7 +113,7 @@ TEST(OlsTest, ThreePhaseRunFindsThreePhases)
 {
     OnlineLinearScan ols(OlsOptions{0.70});
     for (const auto &step : threePhaseRun())
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     // init | train | eval | train -> 4 segments...
     EXPECT_EQ(ols.spans().size(), 4u);
@@ -82,7 +126,7 @@ TEST(OlsTest, RecurringPhaseAggregatesDurations)
     OnlineLinearScan ols(OlsOptions{0.70});
     const auto steps = threePhaseRun(10, 4);
     for (const auto &step : steps)
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     // The aggregated train phase owns both segments.
     const OnlineLinearScan::Group *train = nullptr;
@@ -97,7 +141,7 @@ TEST(OlsTest, ThresholdZeroMergesEverything)
 {
     OnlineLinearScan ols(OlsOptions{0.0});
     for (const auto &step : threePhaseRun())
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     EXPECT_EQ(ols.phases().size(), 1u);
 }
@@ -110,7 +154,7 @@ TEST(OlsTest, PhaseCountMonotoneInThreshold)
          {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
         OnlineLinearScan ols(OlsOptions{threshold});
         for (const auto &step : steps)
-            ols.addStep(step);
+            feed(ols, step);
         ols.finish();
         EXPECT_GE(ols.phases().size(), previous);
         previous = ols.phases().size();
@@ -121,7 +165,7 @@ TEST(OlsTest, ConstantMemoryFootprint)
 {
     OnlineLinearScan ols;
     for (StepId i = 0; i < 10000; ++i)
-        ols.addStep(makeStep(i, {"fusion"}));
+        feed(ols, makeStep(i, {"fusion"}));
     ols.finish();
     // OLS never holds more than the 3-step sliding window.
     EXPECT_LE(ols.peakStepsHeld(), 3u);
@@ -136,14 +180,14 @@ TEST(OlsTest, UsageErrors)
     OnlineLinearScan ols;
     EXPECT_THROW(ols.phases(), std::logic_error);
     ols.finish();
-    EXPECT_THROW(ols.addStep(makeStep(0, {"x"})),
+    EXPECT_THROW(feed(ols, makeStep(0, {"x"})),
                  std::logic_error);
 }
 
 TEST(OlsTest, FinishIsIdempotent)
 {
     OnlineLinearScan ols;
-    ols.addStep(makeStep(0, {"fusion"}));
+    feed(ols, makeStep(0, {"fusion"}));
     ols.finish();
     ols.finish();
     EXPECT_EQ(ols.phases().size(), 1u);
@@ -160,7 +204,7 @@ TEST_P(OlsPartitionProperty, SpansCoverAllStepsExactlyOnce)
     const auto steps = threePhaseRun();
     OnlineLinearScan ols(OlsOptions{GetParam()});
     for (const auto &step : steps)
-        ols.addStep(step);
+        feed(ols, step);
     ols.finish();
     std::size_t covered = 0;
     StepId previous_last = 0;

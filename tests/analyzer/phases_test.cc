@@ -10,8 +10,10 @@
 namespace tpupoint {
 namespace {
 
+using testutil::findOp;
 using testutil::makeRecord;
 using testutil::makeStep;
+using testutil::opRun;
 
 StepTable
 simpleTable()
@@ -81,8 +83,12 @@ TEST(PhasesTest, AggregatesOpMaps)
     const StepTable table = simpleTable();
     const auto phases = phasesFromLabels(table, {0, 0, 0, 0});
     ASSERT_EQ(phases.size(), 1u);
-    EXPECT_EQ(phases[0].tpu_ops.at("fusion").count, 3u);
-    EXPECT_EQ(phases[0].tpu_ops.at("ArgMax").count, 1u);
+    const auto *fusion = findOp(phases[0].tpu_ops, "fusion");
+    const auto *argmax = findOp(phases[0].tpu_ops, "ArgMax");
+    ASSERT_NE(fusion, nullptr);
+    ASSERT_NE(argmax, nullptr);
+    EXPECT_EQ(fusion->count, 3u);
+    EXPECT_EQ(argmax->count, 1u);
 }
 
 TEST(PhasesTest, CoverageOfTopPhases)
@@ -117,11 +123,10 @@ TEST(PhasesTest, LongestPhaseAndOrdering)
 
 TEST(PhasesTest, TopOpsRanksByDuration)
 {
-    OpStatsMap ops;
-    ops["fusion"] = OpStats{10, 500};
-    ops["MatMul"] = OpStats{5, 300};
-    ops["Reshape"] = OpStats{50, 150};
-    ops["Copy"] = OpStats{1, 50};
+    const auto ops = opRun({{"fusion", {0, 10, 500}},
+                            {"MatMul", {0, 5, 300}},
+                            {"Reshape", {0, 50, 150}},
+                            {"Copy", {0, 1, 50}}});
 
     const auto top2 = topOps(ops, 2);
     ASSERT_EQ(top2.size(), 2u);
@@ -137,9 +142,7 @@ TEST(PhasesTest, TopOpsRanksByDuration)
 
 TEST(PhasesTest, TopOpsTieBreaksByName)
 {
-    OpStatsMap ops;
-    ops["b"] = OpStats{1, 100};
-    ops["a"] = OpStats{1, 100};
+    const auto ops = opRun({{"b", {0, 1, 100}}, {"a", {0, 1, 100}}});
     const auto top = topOps(ops, 2);
     EXPECT_EQ(top[0].name, "a");
     EXPECT_EQ(top[1].name, "b");

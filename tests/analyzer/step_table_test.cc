@@ -2,16 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "analyzer/step_table.hh"
 #include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
 
+using testutil::findOp;
 using testutil::makeRecord;
 using testutil::makeStep;
+using testutil::opRun;
+using testutil::SyntheticStep;
 
 TEST(StepTableTest, MergesRecordsByStep)
 {
@@ -24,13 +25,50 @@ TEST(StepTableTest, MergesRecordsByStep)
         StepTable::fromRecords({first, second});
 
     ASSERT_EQ(table.size(), 3u);
-    EXPECT_EQ(table.at(0).step, 1u);
-    EXPECT_EQ(table.at(1).step, 2u);
-    EXPECT_EQ(table.at(2).step, 3u);
+    EXPECT_EQ(table.stepId(0), 1u);
+    EXPECT_EQ(table.stepId(1), 2u);
+    EXPECT_EQ(table.stepId(2), 3u);
     // The merged step carries both windows' ops.
-    EXPECT_EQ(table.at(1).tpu_ops.size(), 2u);
-    EXPECT_TRUE(table.at(1).tpu_ops.count("fusion"));
-    EXPECT_TRUE(table.at(1).tpu_ops.count("MatMul"));
+    EXPECT_EQ(table.tpuOps(1).size(), 2u);
+    EXPECT_NE(findOp(table.tpuOps(1), "fusion"), nullptr);
+    EXPECT_NE(findOp(table.tpuOps(1), "MatMul"), nullptr);
+}
+
+TEST(StepTableTest, MergeCombinesOpsAndCounters)
+{
+    // One step seen by two windows: op entries sum per op, the
+    // device counters add, and the event envelope widens.
+    SyntheticStep a;
+    a.step = 3;
+    a.begin = 0;
+    a.end = 5;
+    a.tpu_busy = 5;
+    a.mxu_active = 1;
+    a.tpu_ops = opRun({{"MatMul", {0, 1, 5}}});
+    SyntheticStep b;
+    b.step = 3;
+    b.begin = 50;
+    b.end = 58;
+    b.tpu_busy = 8;
+    b.tpu_idle = 4;
+    b.mxu_active = 2;
+    b.tpu_ops = opRun({{"MatMul", {0, 1, 7}}, {"Relu", {0, 1, 1}}});
+    const StepTable table = StepTable::fromRecords(
+        {makeRecord({a}, 0), makeRecord({b}, 1)});
+
+    ASSERT_EQ(table.size(), 1u);
+    const auto *matmul = findOp(table.tpuOps(0), "MatMul");
+    const auto *relu = findOp(table.tpuOps(0), "Relu");
+    ASSERT_NE(matmul, nullptr);
+    ASSERT_NE(relu, nullptr);
+    EXPECT_EQ(matmul->count, 2u);
+    EXPECT_EQ(matmul->total_duration, 12);
+    EXPECT_EQ(relu->count, 1u);
+    EXPECT_EQ(table.tpuBusy(0), 13);
+    EXPECT_EQ(table.tpuIdle(0), 4);
+    EXPECT_EQ(table.mxuActive(0), 3);
+    EXPECT_EQ(table.beginTime(0), 0);
+    EXPECT_EQ(table.endTime(0), 58);
 }
 
 TEST(StepTableTest, StepsAreAscendingRegardlessOfInput)
@@ -40,9 +78,9 @@ TEST(StepTableTest, StepsAreAscendingRegardlessOfInput)
                               makeStep(7, {"c"})});
     const StepTable table = StepTable::fromRecords({record});
     ASSERT_EQ(table.size(), 3u);
-    EXPECT_EQ(table.at(0).step, 3u);
-    EXPECT_EQ(table.at(1).step, 7u);
-    EXPECT_EQ(table.at(2).step, 9u);
+    EXPECT_EQ(table.stepId(0), 3u);
+    EXPECT_EQ(table.stepId(1), 7u);
+    EXPECT_EQ(table.stepId(2), 9u);
 }
 
 TEST(StepTableTest, TotalDurationSumsSpans)
@@ -83,7 +121,7 @@ TEST(StepTableTest, DropAfterErasesTailAndReportsSpan)
 
     const StepTable table = std::move(builder).build();
     ASSERT_EQ(table.size(), 2u);
-    EXPECT_EQ(table.at(1).step, 2u);
+    EXPECT_EQ(table.stepId(1), 2u);
 }
 
 TEST(StepTableTest, DropAfterCountsMergedWindowEnvelope)
@@ -124,15 +162,15 @@ TEST(StepTableTest, MarkReplayedFlagsReingestedRange)
 
     const StepTable table = std::move(builder).build();
     ASSERT_EQ(table.size(), 4u);
-    EXPECT_FALSE(table.at(0).replayed); // step 1
-    EXPECT_TRUE(table.at(1).replayed);  // step 2: replayed
-    EXPECT_TRUE(table.at(2).replayed);  // step 3: replayed
-    EXPECT_FALSE(table.at(3).replayed); // step 4: new progress
+    EXPECT_FALSE(table.replayed(0)); // step 1
+    EXPECT_TRUE(table.replayed(1));  // step 2: replayed
+    EXPECT_TRUE(table.replayed(2));  // step 3: replayed
+    EXPECT_FALSE(table.replayed(3)); // step 4: new progress
     // Replayed steps count once: one row each, single-window span
     // and a single op invocation, not a doubled aggregate.
-    EXPECT_EQ(table.at(1).end - table.at(1).begin,
-              100 * kUsec);
-    EXPECT_EQ(table.at(1).tpu_ops.at("a").count, 1u);
+    EXPECT_EQ(table.span(1), 100 * kUsec);
+    ASSERT_NE(findOp(table.tpuOps(1), "a"), nullptr);
+    EXPECT_EQ(findOp(table.tpuOps(1), "a")->count, 1u);
 }
 
 TEST(StepTableTest, MarkReplayedEmptyRangeIsIgnored)
@@ -143,8 +181,8 @@ TEST(StepTableTest, MarkReplayedEmptyRangeIsIgnored)
     builder.ingest(makeRecord({makeStep(5, {"a"}),
                                makeStep(4, {"a"})}));
     const StepTable table = std::move(builder).build();
-    EXPECT_FALSE(table.at(0).replayed);
-    EXPECT_FALSE(table.at(1).replayed);
+    EXPECT_FALSE(table.replayed(0));
+    EXPECT_FALSE(table.replayed(1));
 }
 
 TEST(StepTableTest, EmptyInput)
@@ -153,7 +191,6 @@ TEST(StepTableTest, EmptyInput)
     EXPECT_EQ(table.size(), 0u);
     EXPECT_EQ(table.totalDuration(), 0);
     EXPECT_TRUE(table.opUniverse().empty());
-    EXPECT_THROW(table.at(0), std::logic_error);
 }
 
 } // namespace

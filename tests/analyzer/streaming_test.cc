@@ -36,7 +36,7 @@ streamingOptions(PhaseAlgorithm algorithm =
 /** Ingest @p steps into a fresh session, @p chunk steps/record. */
 AnalysisSession
 ingestChunked(const AnalyzerOptions &opts,
-              const std::vector<StepStats> &steps,
+              const std::vector<testutil::SyntheticStep> &steps,
               std::size_t chunk)
 {
     AnalysisSession session(opts);
@@ -221,7 +221,7 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
 {
     const auto steps = testutil::threePhaseRun();
     ASSERT_GT(steps.size(), 30u);
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     std::uint64_t seq = 0;
     // Attempt 0 reaches step 29...
     for (std::size_t i = 0; i < 30; ++i)
@@ -229,7 +229,7 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
             testutil::makeRecord({steps[i]}, seq++));
     // ...dies, and the restart resumes from its checkpoint at
     // step 20: steps 20..29 are replayed.
-    ProfileRecord boundary;
+    ColumnarRecord boundary;
     boundary.attempt = 1;
     boundary.attempt_boundary = true;
     boundary.preempted_at_step = 29;
@@ -238,7 +238,7 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
     boundary.window_end = steps[29].end;
     records.push_back(boundary);
     for (std::size_t i = 20; i < steps.size(); ++i) {
-        ProfileRecord record =
+        ColumnarRecord record =
             testutil::makeRecord({steps[i]}, seq++);
         record.attempt = 1;
         records.push_back(record);
@@ -246,7 +246,7 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
 
     AnalyzerOptions stream_opts = streamingOptions();
     AnalysisSession streamed(stream_opts);
-    for (const ProfileRecord &record : records) {
+    for (const ColumnarRecord &record : records) {
         streamed.ingest(record);
         // Staleness never underflows across the rewind.
         const PartialResult partial = streamed.partialResult();
@@ -255,7 +255,7 @@ TEST(StreamingTest, AttemptStitchRewindsAndStillMatchesBatch)
     }
 
     AnalysisSession batch{AnalyzerOptions{}};
-    for (const ProfileRecord &record : records)
+    for (const ColumnarRecord &record : records)
         batch.ingest(record);
 
     const AnalysisResult actual = streamed.finalize();

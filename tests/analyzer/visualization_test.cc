@@ -14,7 +14,7 @@ using testutil::makeRecord;
 using testutil::threePhaseRun;
 
 AnalysisResult
-analyzed(std::vector<ProfileRecord> &records_out)
+analyzed(std::vector<ColumnarRecord> &records_out)
 {
     records_out = {makeRecord(threePhaseRun())};
     AnalyzerOptions options;
@@ -23,10 +23,13 @@ analyzed(std::vector<ProfileRecord> &records_out)
 
 TEST(VisualizationTest, ChromeTraceHasBothTracks)
 {
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     const AnalysisResult analysis = analyzed(records);
     std::ostringstream out;
-    writeChromeTrace(analysis, records, out);
+    writeChromeTrace(analysis,
+                     std::vector<ProfileWindowInfo>(records.begin(),
+                                                    records.end()),
+                     out);
     const std::string json = out.str();
 
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -46,7 +49,7 @@ TEST(VisualizationTest, ChromeTraceHasBothTracks)
 
 TEST(VisualizationTest, CsvHasOneRowPerPhase)
 {
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     const AnalysisResult analysis = analyzed(records);
     std::ostringstream out;
     writePhaseCsv(analysis, out);
@@ -65,7 +68,7 @@ TEST(VisualizationTest, CsvHasOneRowPerPhase)
 
 TEST(VisualizationTest, JsonSummaryCarriesTopOps)
 {
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     const AnalysisResult analysis = analyzed(records);
     std::ostringstream out;
     writeAnalysisJson(analysis, out);

@@ -14,7 +14,7 @@ namespace {
 
 struct ProfiledRun
 {
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     std::vector<CheckpointInfo> checkpoints;
     SessionResult result;
 };
@@ -62,7 +62,10 @@ TEST(EndToEndTest, ProfileAnalyzeExportPipeline)
 
     // Every output artifact is producible.
     std::ostringstream trace, csv, json, profile_bin;
-    writeChromeTrace(analysis, run.records, trace);
+    writeChromeTrace(analysis,
+                     std::vector<ProfileWindowInfo>(
+                         run.records.begin(), run.records.end()),
+                     trace);
     writePhaseCsv(analysis, csv);
     writeAnalysisJson(analysis, json);
     ProfileWriter writer(profile_bin);

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "obs/trace_export.hh"
 #include "profiler/profiler.hh"
 #include "proto/serialize.hh"
+#include "trace/checksum.hh"
 #include "workloads/catalog.hh"
 
 #ifndef TPUPOINT_GOLDEN_DIR
@@ -35,9 +37,15 @@
 namespace tpupoint {
 namespace {
 
+/** The Table I workloads the paper characterizes. */
+constexpr WorkloadId kTableOne[] = {
+    WorkloadId::BertMrpc,      WorkloadId::DcganMnist,
+    WorkloadId::QanetSquad,    WorkloadId::RetinanetCoco,
+    WorkloadId::ResnetImagenet};
+
 struct ProfiledRun
 {
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     std::vector<CheckpointInfo> checkpoints;
 };
 
@@ -68,7 +76,7 @@ profileWorkload(WorkloadId id, TpuGeneration gen)
 
 /** Serialize a run to the binary container format. */
 std::string
-encodeProfile(const std::vector<ProfileRecord> &records)
+encodeProfile(const std::vector<ColumnarRecord> &records)
 {
     std::ostringstream out(std::ios::binary);
     ProfileWriter writer(out);
@@ -120,7 +128,7 @@ expectGolden(const std::string &name, const std::string &produced)
 
 /** One full analysis with all three detectors at @p threads. */
 AnalysisResult
-analyzeAll(const std::vector<ProfileRecord> &records,
+analyzeAll(const std::vector<ColumnarRecord> &records,
            const std::vector<CheckpointInfo> &checkpoints,
            unsigned threads, std::size_t max_dimensions = 100)
 {
@@ -241,7 +249,7 @@ TEST(GoldenOutput, ExportTrace)
     std::ostringstream out;
     obs::ProfileTraceOptions options;
     obs::ProfileTraceWriter writer(out, options);
-    ProfileRecord record;
+    ColumnarRecord record;
     while (reader.read(record))
         writer.add(record);
     writer.finish();
@@ -259,10 +267,6 @@ TEST(GoldenOutput, ExportTrace)
 // answer.
 TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
 {
-    constexpr WorkloadId kTableOne[] = {
-        WorkloadId::BertMrpc,      WorkloadId::DcganMnist,
-        WorkloadId::QanetSquad,    WorkloadId::RetinanetCoco,
-        WorkloadId::ResnetImagenet};
     for (const WorkloadId id : kTableOne) {
         SCOPED_TRACE(workloadName(id));
         const ProfiledRun run =
@@ -320,6 +324,26 @@ TEST(GoldenOutput, StreamingAgreementAcrossTableIWorkloads)
     }
 }
 
+// The profiler's encoded output, pinned: size and CRC-32 of the
+// whole profile container per Table I workload. Any change to how
+// the collector summarizes events, how records are encoded, or how
+// the container frames them shows up here.
+TEST(GoldenOutput, ProfileContainerDigests)
+{
+    std::ostringstream digests;
+    for (const WorkloadId id : kTableOne) {
+        const ProfiledRun run =
+            profileWorkload(id, TpuGeneration::V2);
+        ASSERT_FALSE(run.records.empty());
+        const std::string profile = encodeProfile(run.records);
+        char crc[16];
+        std::snprintf(crc, sizeof(crc), "%08x", crc32(profile));
+        digests << workloadName(id) << " " << profile.size() << " "
+                << crc << "\n";
+    }
+    expectGolden("profile_digests.txt", digests.str());
+}
+
 TEST(GoldenOutput, SalvagedAnalysis)
 {
     const ProfiledRun &run = runV2();
@@ -341,7 +365,7 @@ TEST(GoldenOutput, SalvagedAnalysis)
                                     PhaseAlgorithm::Dbscan};
         options.threads = threads;
         AnalysisSession session(options);
-        ProfileRecord record;
+        ColumnarRecord record;
         while (reader.read(record))
             session.ingest(record);
         EXPECT_TRUE(reader.sawDamage());

@@ -18,7 +18,7 @@ namespace {
 struct Measured
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
 };
 
 Measured

@@ -22,7 +22,7 @@
 namespace tpupoint {
 namespace {
 
-std::vector<ProfileRecord>
+std::vector<ColumnarRecord>
 profiledRecords()
 {
     WorkloadOptions options;
@@ -42,7 +42,7 @@ profiledRecords()
 }
 
 AnalysisResult
-analyzeWith(const std::vector<ProfileRecord> &records,
+analyzeWith(const std::vector<ColumnarRecord> &records,
             unsigned threads)
 {
     AnalyzerOptions options;

@@ -14,37 +14,27 @@ namespace obs {
 namespace {
 
 /** A hand-built window whose timings print as clean integers. */
-ProfileRecord
+ColumnarRecord
 tinyWindow()
 {
-    StepStats step;
-    step.step = 3;
-    step.begin = 1000; // ns -> 1 us in the trace
-    step.end = 5000;
-    OpStats matmul;
-    matmul.count = 2;
-    matmul.total_duration = 3000;
-    step.tpu_ops["MatMul"] = matmul;
-    OpStats recv;
-    recv.count = 1;
-    recv.total_duration = 1000;
-    step.host_ops["Recv"] = recv;
-
-    ProfileRecord record;
+    ColumnarRecord record;
     record.sequence = 0;
     record.window_begin = 0;
     record.window_end = 10000;
     record.event_count = 3;
     record.tpu_idle_fraction = 0.5;
     record.mxu_utilization = 0.25;
-    record.steps.push_back(step);
+    // Step 3 spans 1000..5000 ns (1..5 us in the trace).
+    record.appendStep(3, 1000, 5000, 0, 0, 0,
+                      testutil::opRun({{"Recv", {0, 1, 1000}}}),
+                      testutil::opRun({{"MatMul", {0, 2, 3000}}}));
     return record;
 }
 
-ProfileRecord
+ColumnarRecord
 boundaryMarker()
 {
-    ProfileRecord record;
+    ColumnarRecord record;
     record.attempt_boundary = true;
     record.attempt = 2;
     record.window_begin = 10000;
@@ -105,10 +95,10 @@ TEST(TraceExportTest, GoldenProfileTrace)
 TEST(TraceExportTest, EveryOpBecomesOneDurationEvent)
 {
     const auto steps = testutil::threePhaseRun(10, 2);
-    const ProfileRecord record = testutil::makeRecord(steps);
+    const ColumnarRecord record = testutil::makeRecord(steps);
 
     std::uint64_t op_rows = 0;
-    for (const auto &s : record.steps)
+    for (const auto &s : steps)
         op_rows += s.tpu_ops.size() + s.host_ops.size();
 
     std::ostringstream out;
@@ -117,7 +107,7 @@ TEST(TraceExportTest, EveryOpBecomesOneDurationEvent)
     writer.finish();
     // window + one per step + one per op row.
     EXPECT_EQ(writer.durationEvents(),
-              1 + record.steps.size() + op_rows);
+              1 + record.stepCount() + op_rows);
     EXPECT_EQ(writer.instantEvents(), 0u);
 
     std::string error;
@@ -126,7 +116,7 @@ TEST(TraceExportTest, EveryOpBecomesOneDurationEvent)
 
 TEST(TraceExportTest, StepRangeFilterCountsWhatItSkips)
 {
-    const ProfileRecord record =
+    const ColumnarRecord record =
         testutil::makeRecord(testutil::threePhaseRun(10, 2));
     ProfileTraceOptions options;
     options.first_step = 2;
@@ -136,7 +126,7 @@ TEST(TraceExportTest, StepRangeFilterCountsWhatItSkips)
     ProfileTraceWriter writer(out, options);
     writer.add(record);
     writer.finish();
-    EXPECT_EQ(writer.stepsFiltered(), record.steps.size() - 3);
+    EXPECT_EQ(writer.stepsFiltered(), record.stepCount() - 3);
     EXPECT_NE(out.str().find("\"step 3\""), std::string::npos);
     EXPECT_EQ(out.str().find("\"step 7\""), std::string::npos);
 }

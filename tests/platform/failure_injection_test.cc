@@ -10,6 +10,7 @@
 #include "analyzer/analyzer.hh"
 #include "profiler/collector.hh"
 #include "profiler/profiler.hh"
+#include "tests/analyzer/synthetic.hh"
 #include "workloads/catalog.hh"
 
 namespace tpupoint {
@@ -27,7 +28,7 @@ workload()
 struct MeasuredRun
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
 };
 
 MeasuredRun
@@ -49,7 +50,7 @@ runWith(const StorageSpec &storage)
 struct FaultedRun
 {
     SessionResult result;
-    std::vector<ProfileRecord> records;
+    std::vector<ColumnarRecord> records;
     std::uint64_t retries = 0;
     SimTime retry_time = 0;
     std::uint64_t injected = 0;
@@ -183,12 +184,13 @@ TEST(FailureInjectionTest, RetriesSurfaceInProfileRecords)
     std::uint64_t recorded_retries = 0;
     SimTime recorded_retry_time = 0;
     bool retry_op_in_host_table = false;
-    for (const ProfileRecord &record : faulted.records) {
+    for (const ColumnarRecord &record : faulted.records) {
         recorded_retries += record.retries;
         recorded_retry_time += record.retry_time;
-        for (const auto &step : record.steps)
+        for (std::size_t i = 0; i < record.stepCount(); ++i)
             retry_op_in_host_table |=
-                step.host_ops.count("StorageRetry") > 0;
+                testutil::findOp(record.hostOps(i),
+                                 "StorageRetry") != nullptr;
     }
     EXPECT_GT(recorded_retries, 0u);
     EXPECT_GT(recorded_retry_time, 0);

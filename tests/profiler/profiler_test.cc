@@ -44,14 +44,14 @@ TEST(ProfilerTest, CollectsRecordsOverWholeRun)
     StepId max_step = 0;
     std::uint64_t total_events = 0;
     for (std::size_t i = 0; i < profiler.records().size(); ++i) {
-        const ProfileRecord &r = profiler.records()[i];
+        const ColumnarRecord &r = profiler.records()[i];
         if (i) {
             EXPECT_GE(r.window_begin,
                       profiler.records()[i - 1].window_begin);
         }
         total_events += r.event_count;
-        for (const auto &s : r.steps)
-            max_step = std::max(max_step, s.step);
+        for (const StepId s : r.step)
+            max_step = std::max(max_step, s);
     }
     EXPECT_GT(total_events, 0u);
     // The profiler saw training through the last step.
@@ -121,8 +121,8 @@ TEST(ProfilerTest, BreakpointStopsProfilingEarly)
     // Only early steps were profiled.
     StepId max_step = 0;
     for (const auto &r : profiler.records())
-        for (const auto &s : r.steps)
-            max_step = std::max(max_step, s.step);
+        for (const StepId s : r.step)
+            max_step = std::max(max_step, s);
     EXPECT_LT(max_step, 60u);
 }
 

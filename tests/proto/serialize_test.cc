@@ -4,18 +4,24 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/rng.hh"
 #include "proto/serialize.hh"
+#include "tests/analyzer/synthetic.hh"
 
 namespace tpupoint {
 namespace {
 
+using testutil::opRun;
+
 /** Build a deterministic pseudo-random record. */
-ProfileRecord
+ColumnarRecord
 randomRecord(Rng &rng, std::uint64_t sequence)
 {
-    ProfileRecord record;
+    ColumnarRecord record;
     record.sequence = sequence;
     record.window_begin =
         static_cast<SimTime>(rng.nextBounded(1u << 30));
@@ -33,41 +39,47 @@ randomRecord(Rng &rng, std::uint64_t sequence)
 
     const std::size_t steps = 1 + rng.nextBounded(5);
     for (std::size_t i = 0; i < steps; ++i) {
-        StepStats step;
-        step.step = sequence * 100 + i;
-        step.begin = static_cast<SimTime>(rng.nextBounded(1000));
-        step.end = step.begin +
-            static_cast<SimTime>(rng.nextBounded(10000));
-        step.tpu_busy =
-            static_cast<SimTime>(rng.nextBounded(5000));
-        step.tpu_idle =
-            static_cast<SimTime>(rng.nextBounded(5000));
-        step.mxu_active =
-            static_cast<SimTime>(rng.nextBounded(2000));
+        const StepId step = sequence * 100 + i;
+        const auto begin = static_cast<SimTime>(rng.nextBounded(1000));
+        const SimTime end =
+            begin + static_cast<SimTime>(rng.nextBounded(10000));
+        const auto busy = static_cast<SimTime>(rng.nextBounded(5000));
+        const auto idle = static_cast<SimTime>(rng.nextBounded(5000));
+        const auto mxu = static_cast<SimTime>(rng.nextBounded(2000));
         const char *tpu_names[] = {"fusion", "MatMul", "Reshape"};
         const char *host_names[] = {"OutfeedDequeueTuple",
                                     "RunGraph"};
-        for (const char *name : tpu_names) {
-            OpStats stats;
-            stats.count = 1 + rng.nextBounded(50);
-            stats.total_duration =
-                static_cast<SimTime>(rng.nextBounded(100000));
-            step.tpu_ops[name] = stats;
-        }
-        for (const char *name : host_names) {
-            OpStats stats;
-            stats.count = 1 + rng.nextBounded(10);
-            stats.total_duration =
-                static_cast<SimTime>(rng.nextBounded(100000));
-            step.host_ops[name] = stats;
-        }
-        record.steps.push_back(std::move(step));
+        std::vector<std::pair<std::string, ColumnarOpStats>> tpu,
+            host;
+        for (const char *name : tpu_names)
+            tpu.push_back(
+                {name,
+                 {0, 1 + rng.nextBounded(50),
+                  static_cast<SimTime>(rng.nextBounded(100000))}});
+        for (const char *name : host_names)
+            host.push_back(
+                {name,
+                 {0, 1 + rng.nextBounded(10),
+                  static_cast<SimTime>(rng.nextBounded(100000))}});
+        record.appendStep(step, begin, end, busy, idle, mxu,
+                          opRun(host), opRun(tpu));
     }
     return record;
 }
 
 void
-expectEqualRecords(const ProfileRecord &a, const ProfileRecord &b)
+expectSameOps(OpStatsSpan x, OpStatsSpan y)
+{
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t k = 0; k < x.size(); ++k) {
+        EXPECT_EQ(x[k].op, y[k].op);
+        EXPECT_EQ(x[k].count, y[k].count);
+        EXPECT_EQ(x[k].total_duration, y[k].total_duration);
+    }
+}
+
+void
+expectEqualRecords(const ColumnarRecord &a, const ColumnarRecord &b)
 {
     EXPECT_EQ(a.sequence, b.sequence);
     EXPECT_EQ(a.window_begin, b.window_begin);
@@ -83,31 +95,31 @@ expectEqualRecords(const ProfileRecord &a, const ProfileRecord &b)
     EXPECT_EQ(a.preempted_at_step, b.preempted_at_step);
     EXPECT_EQ(a.resume_step, b.resume_step);
     EXPECT_EQ(a.events_dropped, b.events_dropped);
-    ASSERT_EQ(a.steps.size(), b.steps.size());
-    for (std::size_t i = 0; i < a.steps.size(); ++i) {
-        const StepStats &x = a.steps[i];
-        const StepStats &y = b.steps[i];
-        EXPECT_EQ(x.step, y.step);
-        EXPECT_EQ(x.begin, y.begin);
-        EXPECT_EQ(x.end, y.end);
-        EXPECT_EQ(x.tpu_busy, y.tpu_busy);
-        EXPECT_EQ(x.tpu_idle, y.tpu_idle);
-        EXPECT_EQ(x.mxu_active, y.mxu_active);
-        ASSERT_EQ(x.tpu_ops.size(), y.tpu_ops.size());
-        for (const auto &[name, stats] : x.tpu_ops) {
-            ASSERT_TRUE(y.tpu_ops.count(name));
-            EXPECT_EQ(stats.count, y.tpu_ops.at(name).count);
-            EXPECT_EQ(stats.total_duration,
-                      y.tpu_ops.at(name).total_duration);
-        }
-        ASSERT_EQ(x.host_ops.size(), y.host_ops.size());
+    ASSERT_EQ(a.stepCount(), b.stepCount());
+    EXPECT_EQ(a.step, b.step);
+    EXPECT_EQ(a.begin, b.begin);
+    EXPECT_EQ(a.end, b.end);
+    EXPECT_EQ(a.tpu_busy, b.tpu_busy);
+    EXPECT_EQ(a.tpu_idle, b.tpu_idle);
+    EXPECT_EQ(a.mxu_active, b.mxu_active);
+    for (std::size_t i = 0; i < a.stepCount(); ++i) {
+        expectSameOps(a.tpuOps(i), b.tpuOps(i));
+        expectSameOps(a.hostOps(i), b.hostOps(i));
     }
+}
+
+/** Decode @p payload with the global interner. */
+bool
+decode(const std::string &payload, ColumnarRecord &record)
+{
+    return decodeProfileRecordColumnar(payload, record,
+                                       StringInterner::global());
 }
 
 TEST(SerializeTest, RoundTripSingleRecord)
 {
     Rng rng(1);
-    const ProfileRecord original = randomRecord(rng, 0);
+    const ColumnarRecord original = randomRecord(rng, 0);
     std::stringstream buffer;
     ProfileWriter writer(buffer);
     writer.write(original);
@@ -115,7 +127,7 @@ TEST(SerializeTest, RoundTripSingleRecord)
     EXPECT_EQ(writer.written(), 1u);
 
     ProfileReader reader(buffer);
-    ProfileRecord decoded;
+    ColumnarRecord decoded;
     ASSERT_TRUE(reader.read(decoded));
     expectEqualRecords(original, decoded);
     ASSERT_FALSE(reader.read(decoded)); // clean EOF
@@ -124,7 +136,7 @@ TEST(SerializeTest, RoundTripSingleRecord)
 TEST(SerializeTest, RoundTripManyRecordsFuzz)
 {
     Rng rng(99);
-    std::vector<ProfileRecord> originals;
+    std::vector<ColumnarRecord> originals;
     std::stringstream buffer;
     ProfileWriter writer(buffer);
     for (std::uint64_t i = 0; i < 25; ++i) {
@@ -133,7 +145,7 @@ TEST(SerializeTest, RoundTripManyRecordsFuzz)
     }
     writer.finish();
     ProfileReader reader(buffer);
-    const std::vector<ProfileRecord> decoded = reader.readAll();
+    const std::vector<ColumnarRecord> decoded = reader.readAll();
     ASSERT_EQ(decoded.size(), originals.size());
     for (std::size_t i = 0; i < decoded.size(); ++i)
         expectEqualRecords(originals[i], decoded[i]);
@@ -151,14 +163,14 @@ TEST(SerializeTest, StreamedReadMatchesReadAll)
 
     std::istringstream streamed_in(bytes);
     ProfileReader streamed(streamed_in);
-    std::vector<ProfileRecord> one_at_a_time;
-    ProfileRecord record;
+    std::vector<ColumnarRecord> one_at_a_time;
+    ColumnarRecord record;
     while (streamed.read(record))
         one_at_a_time.push_back(record);
 
     std::istringstream bulk_in(bytes);
     ProfileReader bulk(bulk_in);
-    const std::vector<ProfileRecord> all = bulk.readAll();
+    const std::vector<ColumnarRecord> all = bulk.readAll();
 
     ASSERT_EQ(one_at_a_time.size(), all.size());
     for (std::size_t i = 0; i < all.size(); ++i) {
@@ -175,7 +187,7 @@ TEST(SerializeTest, EmptyProfileReadsZeroRecords)
     ProfileWriter writer(buffer);
     writer.finish();
     ProfileReader reader(buffer);
-    ProfileRecord record;
+    ColumnarRecord record;
     EXPECT_FALSE(reader.read(record));
     EXPECT_EQ(reader.recordsRead(), 0u);
 }
@@ -199,22 +211,22 @@ TEST(SerializeTest, TruncatedStreamIsRejected)
     bytes.resize(bytes.size() / 2);
     std::stringstream truncated(bytes);
     ProfileReader reader(truncated);
-    ProfileRecord record;
+    ColumnarRecord record;
     EXPECT_THROW(reader.read(record), std::runtime_error);
 }
 
 TEST(SerializeTest, V4RoundTripCarriesAttemptFields)
 {
     Rng rng(11);
-    ProfileRecord original = randomRecord(rng, 4);
+    ColumnarRecord original = randomRecord(rng, 4);
     original.attempt = 3;
     original.attempt_boundary = true;
     original.preempted_at_step = 480;
     original.resume_step = 450;
 
-    ProfileRecord decoded;
+    ColumnarRecord decoded;
     ASSERT_TRUE(
-        decodeProfileRecord(encodeProfileRecord(original),
+        decode(encodeProfileRecord(original),
                             decoded));
     expectEqualRecords(original, decoded);
     EXPECT_EQ(decoded.attempt, 3u);
@@ -232,7 +244,7 @@ constexpr std::size_t kDropTailBytes = 8;
 TEST(SerializeTest, V3PayloadWithoutAttemptTailStillDecodes)
 {
     Rng rng(12);
-    ProfileRecord original = randomRecord(rng, 9);
+    ColumnarRecord original = randomRecord(rng, 9);
     original.retries = 17;
     original.retry_time = 123 * kMsec;
 
@@ -246,8 +258,8 @@ TEST(SerializeTest, V3PayloadWithoutAttemptTailStillDecodes)
     payload.resize(payload.size() - kAttemptTailBytes -
                    kDropTailBytes);
 
-    ProfileRecord decoded;
-    ASSERT_TRUE(decodeProfileRecord(payload, decoded));
+    ColumnarRecord decoded;
+    ASSERT_TRUE(decode(payload, decoded));
     expectEqualRecords(original, decoded);
     EXPECT_EQ(decoded.retries, 17u);
     EXPECT_EQ(decoded.retry_time, 123 * kMsec);
@@ -260,7 +272,7 @@ TEST(SerializeTest, V3PayloadWithoutAttemptTailStillDecodes)
 TEST(SerializeTest, V4PayloadWithoutDropTailStillDecodes)
 {
     Rng rng(21);
-    ProfileRecord original = randomRecord(rng, 3);
+    ColumnarRecord original = randomRecord(rng, 3);
     original.attempt = 2;
     original.attempt_boundary = true;
     original.preempted_at_step = 800;
@@ -274,8 +286,8 @@ TEST(SerializeTest, V4PayloadWithoutDropTailStillDecodes)
     ASSERT_GT(payload.size(), kDropTailBytes);
     payload.resize(payload.size() - kDropTailBytes);
 
-    ProfileRecord decoded;
-    ASSERT_TRUE(decodeProfileRecord(payload, decoded));
+    ColumnarRecord decoded;
+    ASSERT_TRUE(decode(payload, decoded));
     expectEqualRecords(original, decoded);
     EXPECT_EQ(decoded.attempt, 2u);
     EXPECT_TRUE(decoded.attempt_boundary);
@@ -290,21 +302,8 @@ TEST(SerializeTest, PartialAttemptTailIsRejected)
     // A tail that is present but cut short is damage, not a v3
     // payload.
     payload.resize(payload.size() - kAttemptTailBytes / 2);
-    ProfileRecord decoded;
-    EXPECT_FALSE(decodeProfileRecord(payload, decoded));
-}
-
-TEST(SerializeTest, JsonOutputContainsKeyFields)
-{
-    Rng rng(3);
-    const ProfileRecord record = randomRecord(rng, 7);
-    std::ostringstream out;
-    profileRecordToJson(record, out);
-    const std::string json = out.str();
-    EXPECT_NE(json.find("\"sequence\":7"), std::string::npos);
-    EXPECT_NE(json.find("\"steps\""), std::string::npos);
-    EXPECT_NE(json.find("\"tpu_ops\""), std::string::npos);
-    EXPECT_NE(json.find("fusion"), std::string::npos);
+    ColumnarRecord decoded;
+    EXPECT_FALSE(decode(payload, decoded));
 }
 
 } // namespace

@@ -73,7 +73,7 @@ TEST(AnalysisPipelineTest, BatchZeroRecordProfileIsEmptyNotPending)
 
     AnalysisPipeline pipeline;
     const PipelineReport report =
-        pipeline.streamProfile(path, [](const ProfileRecord &) {});
+        pipeline.streamProfile(path, [](const ColumnarRecord &) {});
     EXPECT_EQ(report.error, PipelineError::Empty);
     EXPECT_EQ(report.message,
               "profile '" + path + "' contains no records");

@@ -197,7 +197,7 @@ makeV3Profile(int count)
         options.chunk_records = 1;
         RecordStreamWriter framing(out, options);
         for (int i = 0; i < count; ++i) {
-            ProfileRecord record;
+            ColumnarRecord record;
             record.sequence = static_cast<std::uint64_t>(i);
             record.window_begin = i * kSec;
             record.window_end = (i + 1) * kSec;
@@ -263,7 +263,7 @@ TEST(SalvageTest, DamagedV3ProfileSalvagesRetryFields)
 
 TEST(SalvageTest, ProfileReaderSalvagesDamagedProfiles)
 {
-    // A real ProfileRecord stream: 1 record per chunk so one
+    // A real profile record stream: 1 record per chunk so one
     // corrupted chunk costs exactly one record.
     std::ostringstream out;
     {
@@ -271,7 +271,7 @@ TEST(SalvageTest, ProfileReaderSalvagesDamagedProfiles)
         options.chunk_records = 1;
         RecordStreamWriter framing(out, options);
         for (int i = 0; i < 5; ++i) {
-            ProfileRecord record;
+            ColumnarRecord record;
             record.sequence = static_cast<std::uint64_t>(i);
             record.window_begin = i * kSec;
             record.window_end = (i + 1) * kSec;
@@ -285,7 +285,7 @@ TEST(SalvageTest, ProfileReaderSalvagesDamagedProfiles)
     {
         std::istringstream in(bytes);
         ProfileReader reader(in);
-        ProfileRecord record;
+        ColumnarRecord record;
         EXPECT_THROW(
             {
                 while (reader.read(record))

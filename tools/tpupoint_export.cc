@@ -127,7 +127,7 @@ main(int argc, char **argv)
     const runtime::AnalysisPipeline pipeline(pipeline_options);
     obs::ProfileTraceWriter writer(out, options);
     const runtime::PipelineReport report = pipeline.streamProfile(
-        profile_path, [&writer](const ProfileRecord &record) {
+        profile_path, [&writer](const ColumnarRecord &record) {
             writer.add(record);
         });
     if (!report.ok()) {

@@ -259,14 +259,8 @@ main(int argc, char **argv)
         });
         runner.setBoundaryHook(
             [&](const AttemptOutcome &failed, StepId resume) {
-            ProfileRecord boundary;
-            boundary.attempt = failed.index + 1;
-            boundary.attempt_boundary = true;
-            boundary.preempted_at_step = failed.reached_step;
-            boundary.resume_step = resume;
-            boundary.window_begin = failed.ended_at;
-            boundary.window_end = failed.ended_at;
-            spool.push(encodeProfileRecord(boundary));
+            spool.push(encodeProfileRecord(
+                attemptBoundaryRecord(failed, resume)));
         });
 
         const ResilientResult result = runner.run();

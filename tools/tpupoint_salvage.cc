@@ -50,7 +50,7 @@ main(int argc, char **argv)
     ProfileReader reader(in, /*salvage=*/true);
     try {
         ProfileWriter writer(out);
-        ProfileRecord record;
+        ColumnarRecord record;
         while (reader.read(record)) {
             writer.write(record);
             ++salvaged;
