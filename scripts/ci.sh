@@ -55,6 +55,10 @@ smoke_suite() {
             return 1
         }
     done
+    # The span dump comes from the same trace-event writer as the
+    # export; validate it too, not just its presence.
+    "${build_dir}/tools/tpupoint-validate-json" \
+        "${work}/smoke.spans.json"
     # Salvage path: truncate a multi-chunk profile mid-stream and
     # analyze what survives. Runs in every suite, so the ASan
     # build walks the damaged-chunk recovery and resynchronization
@@ -75,6 +79,10 @@ smoke_suite() {
         echo "smoke: salvage produced no summary" >&2
         return 1
     }
+    # The analyzer's chrome://tracing file and JSON summary must
+    # parse, not merely exist.
+    "${build_dir}/tools/tpupoint-validate-json" \
+        "${work}/damaged.trace.json" "${work}/damaged.summary.json"
     # Serve path: the daemon tail-follows a spool holding one
     # complete and one truncated stream, answers a phases query
     # while ingest is live, and exits cleanly once drained. Runs

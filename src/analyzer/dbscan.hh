@@ -34,15 +34,8 @@ struct DbscanResult
 };
 
 /**
- * Classic DBSCAN with Euclidean eps-neighbourhoods.
- */
-DbscanResult dbscanCluster(const std::vector<FeatureVector> &points,
-                           double eps, std::size_t min_samples);
-
-/**
- * Row-major overload (the hot path: neighbourhood queries stride
- * contiguous rows). The vector-of-rows entry point packs its data
- * and delegates here, so both are bit-identical.
+ * Classic DBSCAN with Euclidean eps-neighbourhoods over the rows of
+ * @p points (neighbourhood queries stride contiguous rows).
  */
 DbscanResult dbscanCluster(const Matrix &points, double eps,
                            std::size_t min_samples);
@@ -52,9 +45,6 @@ DbscanResult dbscanCluster(const Matrix &points, double eps,
  * point's 24th-nearest-neighbour distance — dense step clusters
  * sit well inside it, stragglers outside.
  */
-double suggestEps(const std::vector<FeatureVector> &points);
-
-/** Row-major overload (see dbscanCluster). */
 double suggestEps(const Matrix &points);
 
 /** The min-samples sweep plus elbow choice (Figure 5). */
@@ -76,13 +66,6 @@ struct DbscanSweep
  * when @p pool is given the settings fan out across its workers
  * with output bit-identical to the serial path.
  */
-DbscanSweep dbscanSweep(const std::vector<FeatureVector> &points,
-                        double eps = 0.0, std::size_t lo = 5,
-                        std::size_t hi = 180,
-                        std::size_t stride = 25,
-                        ThreadPool *pool = nullptr);
-
-/** Row-major overload of the sweep (see dbscanCluster). */
 DbscanSweep dbscanSweep(const Matrix &points, double eps = 0.0,
                         std::size_t lo = 5, std::size_t hi = 180,
                         std::size_t stride = 25,

@@ -24,17 +24,9 @@ struct PcaModel
     std::vector<FeatureVector> components; ///< Unit-norm, ordered.
     std::vector<double> eigenvalues;       ///< Explained variance.
 
-    /** Project one point into component space. */
-    FeatureVector project(const FeatureVector &point) const;
-
-    /** Project every row. */
-    std::vector<FeatureVector>
-    projectAll(const std::vector<FeatureVector> &points) const;
-
     /**
-     * Project every row of a row-major observation matrix (the hot
-     * path: contiguous rows in, contiguous rows out). Bit-identical
-     * to the vector-of-rows overload.
+     * Project every row of a row-major observation matrix into
+     * component space (contiguous rows in, contiguous rows out).
      */
     Matrix projectAll(const Matrix &points) const;
 };
@@ -42,19 +34,11 @@ struct PcaModel
 /**
  * Fit PCA and keep the top @p num_components components.
  *
- * @param points Observations (rows share one dimension).
+ * @param points Observations, one per row.
  * @param num_components Components to extract (capped at the data
  *     dimension).
  * @param rng Seed source for power-iteration start vectors.
  * @param iterations Power iterations per component.
- */
-PcaModel fitPca(const std::vector<FeatureVector> &points,
-                std::size_t num_components, Rng &rng,
-                int iterations = 60);
-
-/**
- * Row-major overload; the vector-of-rows entry point packs its data
- * and delegates here, so both produce bit-identical models.
  */
 PcaModel fitPca(const Matrix &points, std::size_t num_components,
                 Rng &rng, int iterations = 60);

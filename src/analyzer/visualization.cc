@@ -6,10 +6,16 @@
 #include "core/csv.hh"
 #include "core/json.hh"
 #include "core/strings.hh"
+#include "obs/trace_export.hh"
 
 namespace tpupoint {
 
 namespace {
+
+/** The two tracks of Figure 3, in one trace process. */
+constexpr int kTracePid = 1;
+constexpr int kProfileTrack = 1;
+constexpr int kPhaseTrack = 2;
 
 /** First/last event timestamps of a phase's member steps. */
 std::pair<SimTime, SimTime>
@@ -36,21 +42,6 @@ phaseLabel(const Phase &phase)
         std::to_string(phase.last_step) + "]";
 }
 
-void
-traceEvent(JsonWriter &w, const std::string &name, int pid,
-           int tid, SimTime start, SimTime duration)
-{
-    w.beginObject();
-    w.field("name", name);
-    w.field("ph", "X");
-    w.field("pid", pid);
-    w.field("tid", tid);
-    // chrome://tracing expects microseconds.
-    w.field("ts", static_cast<double>(start) / 1e3);
-    w.field("dur", static_cast<double>(duration) / 1e3);
-    w.endObject();
-}
-
 } // namespace
 
 void
@@ -58,50 +49,26 @@ writeChromeTrace(const AnalysisResult &analysis,
                  const std::vector<ProfileWindowInfo> &windows,
                  std::ostream &out)
 {
-    JsonWriter w(out);
-    w.beginObject();
-    w.key("traceEvents");
-    w.beginArray();
-
-    // Track metadata.
-    for (const auto &[tid, label] :
-         {std::pair<int, const char *>{1, "Profile Breakdown"},
-          std::pair<int, const char *>{2, "Phase Breakdown"}}) {
-        w.beginObject();
-        w.field("name", "thread_name");
-        w.field("ph", "M");
-        w.field("pid", 1);
-        w.field("tid", tid);
-        w.key("args");
-        w.beginObject();
-        w.field("name", label);
-        w.endObject();
-        w.endObject();
-    }
+    obs::TraceEventWriter events(out);
+    events.threadName(kTracePid, kProfileTrack, "Profile Breakdown");
+    events.threadName(kTracePid, kPhaseTrack, "Phase Breakdown");
 
     // Profile Breakdown: one slice per profile window.
     for (const auto &window : windows) {
-        const SimTime span =
-            window.window_end > window.window_begin
-                ? window.window_end - window.window_begin
-                : 0;
-        traceEvent(w,
-                   "profile " + std::to_string(window.sequence) +
-                       (window.truncated ? " (truncated)" : ""),
-                   1, 1, window.window_begin, span);
+        const obs::WindowSlice slice = obs::profileWindowSlice(
+            window.sequence, window.window_begin, window.window_end,
+            window.truncated);
+        events.duration(slice.name, kTracePid, kProfileTrack,
+                        slice.start, slice.duration);
     }
 
     // Phase Breakdown: one slice per phase.
     for (const auto &phase : analysis.phases) {
         const auto [begin, end] =
             phaseExtent(phase, analysis.table);
-        traceEvent(w, phaseLabel(phase), 1, 2, begin,
-                   end > begin ? end - begin : 0);
+        events.duration(phaseLabel(phase), kTracePid, kPhaseTrack,
+                        begin, end > begin ? end - begin : 0);
     }
-
-    w.endArray();
-    w.field("displayTimeUnit", "ms");
-    w.endObject();
 }
 
 void

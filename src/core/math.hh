@@ -37,24 +37,11 @@ double dot(const FeatureVector &a, const FeatureVector &b);
 /** Euclidean (L2) norm. */
 double l2Norm(const FeatureVector &v);
 
-/** Squared Euclidean distance. */
-double squaredDistance(const FeatureVector &a, const FeatureVector &b);
-
-/** Euclidean distance. */
-double euclideanDistance(const FeatureVector &a,
-                         const FeatureVector &b);
-
-/** a += b (element-wise); dimensions must match. */
-void addInPlace(FeatureVector &a, const FeatureVector &b);
-
 /** v *= s (element-wise). */
 void scaleInPlace(FeatureVector &v, double s);
 
 /** Normalize to unit L2 norm; zero vectors are left unchanged. */
 void normalizeInPlace(FeatureVector &v);
-
-/** Component-wise mean of @p points; empty input yields empty. */
-FeatureVector meanVector(const std::vector<FeatureVector> &points);
 
 /**
  * Row-major dense matrix. Minimal: only what covariance/PCA and the
@@ -102,17 +89,7 @@ class Matrix
      */
     static Matrix fromRows(const std::vector<FeatureVector> &data);
 
-    /**
-     * Covariance matrix of a data set whose rows are observations.
-     * Rows of @p data must share one dimension.
-     */
-    static Matrix covariance(const std::vector<FeatureVector> &data);
-
-    /**
-     * Covariance of a row-major observation matrix. Summation order
-     * matches the vector-of-rows overload exactly, so either entry
-     * point yields bit-identical covariances.
-     */
+    /** Covariance of a row-major observation matrix. */
     static Matrix covariance(const Matrix &data);
 
   private:

@@ -1,6 +1,5 @@
 #include "obs/trace_export.hh"
 
-#include <algorithm>
 #include <string>
 
 namespace tpupoint {
@@ -9,10 +8,14 @@ namespace obs {
 namespace {
 
 /** Track ids within the profile process (pid 1). */
+constexpr int kProfilePid = 1;
 constexpr int kStepTrack = 1;
 constexpr int kTpuTrack = 2;
 constexpr int kHostTrack = 3;
 constexpr int kWindowTrack = 4;
+
+/** Span tracks live in their own process, one tid per thread. */
+constexpr int kSpanPid = 2;
 
 /** Nanoseconds -> trace-event microseconds. */
 double
@@ -21,61 +24,134 @@ toTraceUs(SimTime t)
     return static_cast<double>(t) / 1e3;
 }
 
+/** A pid-1 `X` slice whose args carry @p count, omitted at 0. */
+void
+countedSlice(TraceEventWriter &events, std::string_view name,
+             int tid, SimTime start, SimTime duration,
+             std::uint64_t count)
+{
+    const auto count_args = [count](JsonWriter &args) {
+        args.field("count", count);
+    };
+    events.duration(name, kProfilePid, tid, start, duration,
+                    count > 0 ? TraceArgs(count_args) : TraceArgs());
+}
+
 } // namespace
 
-ProfileTraceWriter::ProfileTraceWriter(
-    std::ostream &out, const ProfileTraceOptions &options)
-    : stream(out), opts(options), json(out, options.pretty)
+TraceEventWriter::TraceEventWriter(std::ostream &out, bool pretty)
+    : json(out, pretty)
 {
     json.beginObject();
     json.key("traceEvents");
     json.beginArray();
-    metadataEvent(kStepTrack, "Steps");
-    metadataEvent(kTpuTrack, "TPU ops");
-    metadataEvent(kHostTrack, "Host ops");
-    metadataEvent(kWindowTrack, "Profile windows");
 }
 
-ProfileTraceWriter::~ProfileTraceWriter()
+TraceEventWriter::~TraceEventWriter()
 {
     finish();
 }
 
 void
-ProfileTraceWriter::metadataEvent(int tid, const char *label)
+TraceEventWriter::begin(std::string_view name, const char *phase,
+                        int pid)
 {
     json.beginObject();
-    json.field("name", "thread_name");
-    json.field("ph", "M");
-    json.field("pid", 1);
-    json.field("tid", tid);
-    json.key("args");
-    json.beginObject();
-    json.field("name", label);
-    json.endObject();
+    json.field("name", name);
+    json.field("ph", phase);
+    json.field("pid", pid);
+}
+
+void
+TraceEventWriter::end(TraceArgs args)
+{
+    if (args) {
+        json.key("args");
+        json.beginObject();
+        args(json);
+        json.endObject();
+    }
     json.endObject();
 }
 
 void
-ProfileTraceWriter::durationEvent(std::string_view name, int tid,
-                                  SimTime start, SimTime duration,
-                                  std::uint64_t count)
+TraceEventWriter::threadName(int pid, std::uint64_t tid,
+                             std::string_view label)
 {
-    json.beginObject();
-    json.field("name", name);
-    json.field("ph", "X");
-    json.field("pid", 1);
+    if (done)
+        return;
+    begin("thread_name", "M", pid);
+    json.field("tid", tid);
+    end([label](JsonWriter &args) { args.field("name", label); });
+}
+
+void
+TraceEventWriter::duration(std::string_view name, int pid,
+                           std::uint64_t tid, SimTime start,
+                           SimTime length, TraceArgs args)
+{
+    if (done)
+        return;
+    begin(name, "X", pid);
     json.field("tid", tid);
     json.field("ts", toTraceUs(start));
-    json.field("dur", toTraceUs(duration));
-    if (count > 0) {
-        json.key("args");
-        json.beginObject();
-        json.field("count", count);
-        json.endObject();
-    }
+    json.field("dur", toTraceUs(length));
+    end(args);
+}
+
+void
+TraceEventWriter::instant(std::string_view name, int pid,
+                          std::uint64_t tid, SimTime at,
+                          TraceArgs args)
+{
+    if (done)
+        return;
+    begin(name, "i", pid);
+    json.field("tid", tid);
+    json.field("ts", toTraceUs(at));
+    json.field("s", "g");
+    end(args);
+}
+
+void
+TraceEventWriter::counter(std::string_view name, int pid, SimTime at,
+                          double value)
+{
+    if (done)
+        return;
+    begin(name, "C", pid);
+    json.field("ts", toTraceUs(at));
+    end([value](JsonWriter &args) { args.field("value", value); });
+}
+
+void
+TraceEventWriter::finish()
+{
+    if (done)
+        return;
+    done = true;
+    json.endArray();
+    json.field("displayTimeUnit", "ms");
     json.endObject();
-    ++x_events;
+}
+
+WindowSlice
+profileWindowSlice(std::uint64_t sequence, SimTime begin, SimTime end,
+                   bool truncated)
+{
+    return {"profile " + std::to_string(sequence) +
+                (truncated ? " (truncated)" : ""),
+            begin, end > begin ? end - begin : 0};
+}
+
+ProfileTraceWriter::ProfileTraceWriter(
+    std::ostream &out, const ProfileTraceOptions &options)
+    : opts(options), events(out, options.pretty)
+{
+    events.threadName(kProfilePid, kStepTrack, "Steps");
+    events.threadName(kProfilePid, kTpuTrack, "TPU ops");
+    events.threadName(kProfilePid, kHostTrack, "Host ops");
+    events.threadName(kProfilePid, kWindowTrack, "Profile windows");
 }
 
 void
@@ -90,8 +166,9 @@ ProfileTraceWriter::opRows(SimTime step_begin, OpStatsSpan ops,
     opsByName(ops, StringInterner::global(), named);
     SimTime cursor = step_begin;
     for (const NamedOpStats &entry : named) {
-        durationEvent(entry.name, tid, cursor,
-                      entry.total_duration, entry.count);
+        countedSlice(events, entry.name, tid, cursor,
+                     entry.total_duration, entry.count);
+        ++x_events;
         cursor += entry.total_duration;
     }
 }
@@ -99,60 +176,38 @@ ProfileTraceWriter::opRows(SimTime step_begin, OpStatsSpan ops,
 void
 ProfileTraceWriter::add(const ColumnarRecord &record)
 {
-    if (finished)
+    if (events.finished())
         return;
     if (record.attempt_boundary) {
         // A preemption: the previous attempt died here and the
         // next one resumes from a restored checkpoint.
-        json.beginObject();
-        json.field("name",
-                   "preempted (attempt " +
-                       std::to_string(record.attempt) + ")");
-        json.field("ph", "i");
-        json.field("pid", 1);
-        json.field("tid", kStepTrack);
-        json.field("ts", toTraceUs(record.window_begin));
-        json.field("s", "g");
-        json.key("args");
-        json.beginObject();
-        json.field("preempted_at_step",
-                   record.preempted_at_step);
-        json.field("resume_step", record.resume_step);
-        json.field("attempt", static_cast<std::uint64_t>(
-            record.attempt));
-        json.endObject();
-        json.endObject();
+        events.instant(
+            "preempted (attempt " + std::to_string(record.attempt) +
+                ")",
+            kProfilePid, kStepTrack, record.window_begin,
+            [&record](JsonWriter &args) {
+                args.field("preempted_at_step",
+                           record.preempted_at_step);
+                args.field("resume_step", record.resume_step);
+                args.field("attempt", static_cast<std::uint64_t>(
+                    record.attempt));
+            });
         ++i_events;
         return;
     }
 
-    const std::string window_name =
-        "profile " + std::to_string(record.sequence) +
-        (record.truncated ? " (truncated)" : "");
-    const SimTime window_span =
-        record.window_end > record.window_begin
-            ? record.window_end - record.window_begin
-            : 0;
-    durationEvent(window_name, kWindowTrack, record.window_begin,
-                  window_span, record.event_count);
+    const WindowSlice window = profileWindowSlice(
+        record.sequence, record.window_begin, record.window_end,
+        record.truncated);
+    countedSlice(events, window.name, kWindowTrack, window.start,
+                 window.duration, record.event_count);
+    ++x_events;
 
     if (opts.include_counters) {
-        for (const auto &[counter, value] :
-             {std::pair<const char *, double>{
-                  "tpu_idle_fraction", record.tpu_idle_fraction},
-              std::pair<const char *, double>{
-                  "mxu_utilization", record.mxu_utilization}}) {
-            json.beginObject();
-            json.field("name", counter);
-            json.field("ph", "C");
-            json.field("pid", 1);
-            json.field("ts", toTraceUs(record.window_begin));
-            json.key("args");
-            json.beginObject();
-            json.field("value", value);
-            json.endObject();
-            json.endObject();
-        }
+        events.counter("tpu_idle_fraction", kProfilePid,
+                       record.window_begin, record.tpu_idle_fraction);
+        events.counter("mxu_utilization", kProfilePid,
+                       record.window_begin, record.mxu_utilization);
     }
 
     for (std::size_t i = 0; i < record.stepCount(); ++i) {
@@ -161,8 +216,10 @@ ProfileTraceWriter::add(const ColumnarRecord &record)
             ++filtered;
             continue;
         }
-        durationEvent("step " + std::to_string(step), kStepTrack,
-                      record.begin[i], record.stepSpan(i));
+        events.duration("step " + std::to_string(step), kProfilePid,
+                        kStepTrack, record.begin[i],
+                        record.stepSpan(i));
+        ++x_events;
         if (!opts.include_ops)
             continue;
         opRows(record.begin[i], record.tpuOps(i), kTpuTrack);
@@ -173,23 +230,7 @@ ProfileTraceWriter::add(const ColumnarRecord &record)
 void
 ProfileTraceWriter::finish()
 {
-    if (finished)
-        return;
-    finished = true;
-    json.endArray();
-    json.field("displayTimeUnit", "ms");
-    json.endObject();
-}
-
-void
-writeProfileTrace(const std::vector<ColumnarRecord> &records,
-                  std::ostream &out,
-                  const ProfileTraceOptions &options)
-{
-    ProfileTraceWriter writer(out, options);
-    for (const auto &record : records)
-        writer.add(record);
-    writer.finish();
+    events.finish();
 }
 
 void
@@ -207,32 +248,17 @@ writeSpanTrace(const std::vector<SpanRecord> &spans,
         }
     }
 
-    JsonWriter w(out, pretty);
-    w.beginObject();
-    w.key("traceEvents");
-    w.beginArray();
+    TraceEventWriter events(out, pretty);
     for (const auto &span : spans) {
-        w.beginObject();
-        w.field("name", span.name);
-        w.field("ph", "X");
-        w.field("pid", 2);
-        w.field("tid", span.thread_id);
-        w.field("ts",
-                static_cast<double>(span.begin_ns - origin) / 1e3);
-        w.field("dur",
-                static_cast<double>(span.duration_ns()) / 1e3);
-        if (!span.args.empty()) {
-            w.key("args");
-            w.beginObject();
+        const auto span_args = [&span](JsonWriter &args) {
             for (const auto &[key, value] : span.args)
-                w.field(key, value);
-            w.endObject();
-        }
-        w.endObject();
+                args.field(key, value);
+        };
+        events.duration(span.name, kSpanPid, span.thread_id,
+                        span.begin_ns - origin, span.duration_ns(),
+                        span.args.empty() ? TraceArgs()
+                                          : TraceArgs(span_args));
     }
-    w.endArray();
-    w.field("displayTimeUnit", "ms");
-    w.endObject();
 }
 
 void

@@ -12,7 +12,7 @@ namespace tpupoint {
 namespace {
 
 /** Two dense blobs plus a few stragglers. */
-std::vector<FeatureVector>
+Matrix
 blobsWithNoise()
 {
     Rng rng(1);
@@ -27,7 +27,7 @@ blobsWithNoise()
     points.push_back({100, -100});
     points.push_back({-100, 100});
     points.push_back({60, 60});
-    return points;
+    return Matrix::fromRows(points);
 }
 
 TEST(DbscanTest, FindsBlobsAndMarksNoise)
@@ -57,7 +57,7 @@ TEST(DbscanTest, HighMinSamplesTurnsEverythingToNoise)
     const auto points = blobsWithNoise();
     const DbscanResult result = dbscanCluster(points, 3.0, 80);
     EXPECT_EQ(result.clusters, 0);
-    EXPECT_EQ(result.noise_points, points.size());
+    EXPECT_EQ(result.noise_points, points.rows());
     EXPECT_DOUBLE_EQ(result.noise_ratio, 1.0);
 }
 
@@ -71,7 +71,7 @@ TEST(DbscanTest, HugeEpsMakesOneCluster)
 
 TEST(DbscanTest, ParameterValidation)
 {
-    const std::vector<FeatureVector> points{{0}};
+    const Matrix points = Matrix::fromRows({{0}});
     EXPECT_THROW(dbscanCluster(points, 0.0, 5),
                  std::runtime_error);
     EXPECT_THROW(dbscanCluster(points, 1.0, 0),
@@ -105,7 +105,7 @@ TEST(DbscanSweepTest, NoiseGrowsWithMinSamples)
 
 TEST(DbscanSweepTest, ZeroStrideRejected)
 {
-    const std::vector<FeatureVector> points{{0}, {1}};
+    const Matrix points = Matrix::fromRows({{0}, {1}});
     EXPECT_THROW(dbscanSweep(points, 1.0, 5, 50, 0),
                  std::runtime_error);
 }
@@ -114,9 +114,9 @@ TEST(DbscanTest, BorderPointsJoinCluster)
 {
     // A line of points each within eps of the next: core points
     // chain, endpoints become border members.
-    std::vector<FeatureVector> points;
-    for (int i = 0; i < 10; ++i)
-        points.push_back({static_cast<double>(i), 0.0});
+    Matrix points(10, 2);
+    for (std::size_t i = 0; i < 10; ++i)
+        points.at(i, 0) = static_cast<double>(i);
     const DbscanResult result = dbscanCluster(points, 1.5, 3);
     EXPECT_EQ(result.clusters, 1);
     EXPECT_EQ(result.noise_points, 0u);

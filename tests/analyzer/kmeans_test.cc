@@ -11,7 +11,7 @@ namespace tpupoint {
 namespace {
 
 /** Three well-separated blobs in 2-D. */
-std::vector<FeatureVector>
+Matrix
 threeBlobs(int per_blob = 40)
 {
     Rng rng(1);
@@ -23,7 +23,7 @@ threeBlobs(int per_blob = 40)
                               center[1] + rng.gaussian(0, 1)});
         }
     }
-    return points;
+    return Matrix::fromRows(points);
 }
 
 TEST(KMeansTest, SeparatesObviousBlobs)
@@ -46,8 +46,7 @@ TEST(KMeansTest, SeparatesObviousBlobs)
 
 TEST(KMeansTest, KOneCentroidIsTheMean)
 {
-    const std::vector<FeatureVector> points{{0, 0}, {2, 2},
-                                            {4, 4}};
+    const Matrix points = Matrix::fromRows({{0, 0}, {2, 2}, {4, 4}});
     Rng rng(3);
     const KMeansResult result = kMeansCluster(points, 1, rng);
     ASSERT_EQ(result.centroids.size(), 1u);
@@ -57,7 +56,7 @@ TEST(KMeansTest, KOneCentroidIsTheMean)
 
 TEST(KMeansTest, KClampedToPointCount)
 {
-    const std::vector<FeatureVector> points{{1}, {2}};
+    const Matrix points = Matrix::fromRows({{1}, {2}});
     Rng rng(4);
     const KMeansResult result = kMeansCluster(points, 10, rng);
     EXPECT_EQ(result.k, 2);
@@ -66,7 +65,7 @@ TEST(KMeansTest, KClampedToPointCount)
 TEST(KMeansTest, EmptyDataRejected)
 {
     Rng rng(5);
-    EXPECT_THROW(kMeansCluster(std::vector<FeatureVector>{}, 2, rng), std::runtime_error);
+    EXPECT_THROW(kMeansCluster(Matrix{}, 2, rng), std::runtime_error);
 }
 
 TEST(KMeansTest, DeterministicGivenSeed)
@@ -101,8 +100,8 @@ TEST(KMeansSweepTest, InvalidRangeRejected)
 
 TEST(KMeansTest, IdenticalPointsDegenerate)
 {
-    const std::vector<FeatureVector> points(
-        20, FeatureVector{3, 3});
+    const Matrix points = Matrix::fromRows(
+        std::vector<FeatureVector>(20, FeatureVector{3, 3}));
     Rng rng(7);
     const KMeansResult result = kMeansCluster(points, 3, rng);
     EXPECT_EQ(result.ssd, 0.0);

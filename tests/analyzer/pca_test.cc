@@ -20,7 +20,8 @@ TEST(PcaTest, RecoversDominantDirection)
         points.push_back({t + n, t - n});
     }
     Rng pca_rng(2);
-    const PcaModel model = fitPca(points, 1, pca_rng);
+    const PcaModel model =
+        fitPca(Matrix::fromRows(points), 1, pca_rng);
     ASSERT_EQ(model.components.size(), 1u);
     const FeatureVector &c = model.components[0];
     // Direction (up to sign) is (1, 1)/sqrt(2).
@@ -38,7 +39,8 @@ TEST(PcaTest, ComponentsAreOrthonormal)
                           rng.gaussian(0, 1)});
     }
     Rng pca_rng(4);
-    const PcaModel model = fitPca(points, 3, pca_rng);
+    const PcaModel model =
+        fitPca(Matrix::fromRows(points), 3, pca_rng);
     ASSERT_EQ(model.components.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_NEAR(l2Norm(model.components[i]), 1.0, 1e-6);
@@ -64,18 +66,26 @@ TEST(PcaTest, ProjectionReducesDimension)
         points.push_back(std::move(p));
     }
     Rng pca_rng(6);
-    const PcaModel model = fitPca(points, 4, pca_rng);
-    const auto projected = model.projectAll(points);
-    ASSERT_EQ(projected.size(), points.size());
-    for (const auto &p : projected)
-        EXPECT_EQ(p.size(), model.components.size());
+    const Matrix data = Matrix::fromRows(points);
+    const PcaModel model = fitPca(data, 4, pca_rng);
+    const Matrix projected = model.projectAll(data);
+    ASSERT_EQ(projected.rows(), data.rows());
+    ASSERT_EQ(projected.cols(), model.components.size());
+    // Each cell is the centered row's dot with one component.
+    FeatureVector centered = points[7];
+    for (std::size_t i = 0; i < centered.size(); ++i)
+        centered[i] -= model.mean[i];
+    for (std::size_t c = 0; c < model.components.size(); ++c)
+        EXPECT_DOUBLE_EQ(projected.at(7, c),
+                         dot(model.components[c], centered));
 }
 
 TEST(PcaTest, RequestedComponentsCappedByDimension)
 {
     std::vector<FeatureVector> points{{1, 2}, {3, 4}, {5, 7}};
     Rng rng(7);
-    const PcaModel model = fitPca(points, 10, rng);
+    const PcaModel model =
+        fitPca(Matrix::fromRows(points), 10, rng);
     EXPECT_LE(model.components.size(), 2u);
 }
 
@@ -84,14 +94,15 @@ TEST(PcaTest, DegenerateDataStopsEarly)
     // All identical points: zero variance everywhere.
     std::vector<FeatureVector> points(10, FeatureVector{1, 2, 3});
     Rng rng(8);
-    const PcaModel model = fitPca(points, 3, rng);
+    const PcaModel model =
+        fitPca(Matrix::fromRows(points), 3, rng);
     EXPECT_TRUE(model.components.empty());
 }
 
 TEST(PcaTest, EmptyDataRejected)
 {
     Rng rng(9);
-    EXPECT_THROW(fitPca(std::vector<FeatureVector>{}, 2, rng), std::runtime_error);
+    EXPECT_THROW(fitPca(Matrix{}, 2, rng), std::runtime_error);
 }
 
 } // namespace

@@ -47,6 +47,22 @@ TEST(VisualizationTest, ChromeTraceHasBothTracks)
     EXPECT_EQ(phase_slices, analysis.phases.size());
 }
 
+TEST(VisualizationTest, ChromeTraceLabelsTruncatedWindows)
+{
+    ProfileWindowInfo window;
+    window.sequence = 5;
+    window.window_begin = 3000;
+    window.window_end = 1000; // inverted: clamps to zero width
+    window.truncated = true;
+    std::ostringstream out;
+    writeChromeTrace(AnalysisResult{}, {window}, out);
+    EXPECT_NE(out.str().find("{\"name\":\"profile 5 (truncated)\","
+                             "\"ph\":\"X\",\"pid\":1,\"tid\":1,"
+                             "\"ts\":3,\"dur\":0}"),
+              std::string::npos)
+        << out.str();
+}
+
 TEST(VisualizationTest, CsvHasOneRowPerPhase)
 {
     std::vector<ColumnarRecord> records;

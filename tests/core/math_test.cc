@@ -25,15 +25,21 @@ TEST(VectorMathTest, DotDimensionMismatchPanics)
 
 TEST(VectorMathTest, Distances)
 {
-    EXPECT_EQ(squaredDistance({0, 0}, {3, 4}), 25.0);
-    EXPECT_EQ(euclideanDistance({0, 0}, {3, 4}), 5.0);
-    EXPECT_EQ(squaredDistance({1, 1}, {1, 1}), 0.0);
+    const double origin[] = {0, 0};
+    const double p[] = {3, 4};
+    EXPECT_EQ(squaredDistanceN(origin, p, 2), 25.0);
+    EXPECT_EQ(squaredDistanceN(p, p, 2), 0.0);
+    // Past the unrolled block: 5 dimensions, one tail element.
+    const double a[] = {1, 2, 3, 4, 5};
+    const double b[] = {0, 0, 0, 0, 0};
+    EXPECT_EQ(squaredDistanceN(a, b, 5), 55.0);
 }
 
 TEST(VectorMathTest, AddAndScaleInPlace)
 {
     FeatureVector a{1, 2};
-    addInPlace(a, {3, 4});
+    const double b[] = {3, 4};
+    addN(a.data(), b, a.size());
     EXPECT_EQ(a[0], 4.0);
     EXPECT_EQ(a[1], 6.0);
     scaleInPlace(a, 0.5);
@@ -49,15 +55,6 @@ TEST(VectorMathTest, NormalizeHandlesZeroVector)
     FeatureVector v{0, 3, 4};
     normalizeInPlace(v);
     EXPECT_NEAR(l2Norm(v), 1.0, 1e-12);
-}
-
-TEST(VectorMathTest, MeanVector)
-{
-    const auto mean = meanVector({{0, 0}, {2, 4}, {4, 8}});
-    ASSERT_EQ(mean.size(), 2u);
-    EXPECT_EQ(mean[0], 2.0);
-    EXPECT_EQ(mean[1], 4.0);
-    EXPECT_TRUE(meanVector({}).empty());
 }
 
 TEST(MatrixTest, MultiplyAndTranspose)
@@ -91,7 +88,7 @@ TEST(MatrixTest, CovarianceOfKnownData)
     // Two perfectly correlated dimensions.
     const std::vector<FeatureVector> data{
         {1, 2}, {2, 4}, {3, 6}};
-    const Matrix cov = Matrix::covariance(data);
+    const Matrix cov = Matrix::covariance(Matrix::fromRows(data));
     // var(x) = 2/3, var(y) = 8/3, cov = 4/3.
     EXPECT_NEAR(cov.at(0, 0), 2.0 / 3.0, 1e-12);
     EXPECT_NEAR(cov.at(1, 1), 8.0 / 3.0, 1e-12);
@@ -101,11 +98,10 @@ TEST(MatrixTest, CovarianceOfKnownData)
 
 TEST(MatrixTest, CovarianceRejectsBadInput)
 {
-    EXPECT_THROW(
-        Matrix::covariance(std::vector<FeatureVector>{}),
-        std::runtime_error);
-    EXPECT_THROW(Matrix::covariance({{1, 2}, {1}}),
-                 std::runtime_error);
+    EXPECT_THROW(Matrix::covariance(Matrix{}), std::runtime_error);
+    // Ragged rows never reach covariance: packing them is a
+    // programming error.
+    EXPECT_THROW(Matrix::fromRows({{1, 2}, {1}}), std::logic_error);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Golden byte-identity suite for the analyzer outputs. The columnar
  * refactor of the analyzer core (interned step tables, flat feature
  * matrix, zero-copy reads) must not change a single output byte:
- * every artifact here — analyze CSV/JSON, the exported trace, the
- * comparison report, and the salvage path — is compared verbatim
+ * every artifact here — analyze CSV/JSON, the analyzer's and the
+ * exporter's trace-event JSON, the comparison report, and the
+ * salvage path — is compared verbatim
  * against goldens generated from the pre-refactor row-oriented
  * implementation, for --threads 1, 2 and 8.
  *
@@ -254,6 +255,26 @@ TEST(GoldenOutput, ExportTrace)
         writer.add(record);
     writer.finish();
     expectGolden("export_trace.json", out.str());
+}
+
+TEST(GoldenOutput, AnalyzeTrace)
+{
+    // The analyzer's chrome://tracing document exactly as
+    // tpupoint-analyze writes it: default (OLS) analysis, with the
+    // Profile Breakdown track drawn from every non-boundary record.
+    const ProfiledRun &run = runV2();
+    const AnalysisResult analysis =
+        TpuPointAnalyzer(AnalyzerOptions{})
+            .analyze(run.records, run.checkpoints);
+    std::vector<ProfileWindowInfo> windows;
+    for (const auto &record : run.records) {
+        if (!record.attempt_boundary)
+            windows.emplace_back(record);
+    }
+    ASSERT_FALSE(windows.empty());
+    std::ostringstream out;
+    writeChromeTrace(analysis, windows, out);
+    expectGolden("analyze_trace.json", out.str());
 }
 
 // Streaming-vs-batch agreement across the Table I workloads the

@@ -52,7 +52,10 @@ boundaryMarker()
 TEST(TraceExportTest, GoldenProfileTrace)
 {
     std::ostringstream out;
-    writeProfileTrace({tinyWindow(), boundaryMarker()}, out);
+    ProfileTraceWriter writer(out);
+    writer.add(tinyWindow());
+    writer.add(boundaryMarker());
+    writer.finish();
 
     const std::string expected =
         "{\"traceEvents\":["
@@ -90,6 +93,52 @@ TEST(TraceExportTest, GoldenProfileTrace)
 
     std::string error;
     EXPECT_TRUE(validateJson(out.str(), &error)) << error;
+}
+
+TEST(TraceExportTest, EventWriterClosesOnceAndDropsLateEvents)
+{
+    std::ostringstream out;
+    {
+        TraceEventWriter events(out);
+        events.threadName(3, 9, "Track");
+        events.counter("depth", 3, 2500, 4);
+        events.instant("mark", 3, 9, 1000);
+        events.finish();
+        events.finish();
+        events.duration("late", 3, 9, 0, 1);
+        EXPECT_TRUE(events.finished());
+    } // The destructor must not close the document again.
+    EXPECT_EQ(out.str(),
+              "{\"traceEvents\":["
+              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":3,"
+              "\"tid\":9,\"args\":{\"name\":\"Track\"}},"
+              "{\"name\":\"depth\",\"ph\":\"C\",\"pid\":3,"
+              "\"ts\":2.5,\"args\":{\"value\":4}},"
+              "{\"name\":\"mark\",\"ph\":\"i\",\"pid\":3,"
+              "\"tid\":9,\"ts\":1,\"s\":\"g\"}"
+              "],\"displayTimeUnit\":\"ms\"}");
+
+    // Destruction alone closes an unfinished document.
+    std::ostringstream closed;
+    {
+        TraceEventWriter events(closed);
+    }
+    EXPECT_EQ(closed.str(),
+              "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+}
+
+TEST(TraceExportTest, WindowSliceNamesTruncationAndClampsSpan)
+{
+    const WindowSlice whole = profileWindowSlice(4, 100, 300, false);
+    EXPECT_EQ(whole.name, "profile 4");
+    EXPECT_EQ(whole.start, 100);
+    EXPECT_EQ(whole.duration, 200);
+
+    // A truncated window is labelled; an inverted one has no width.
+    const WindowSlice cut = profileWindowSlice(5, 300, 100, true);
+    EXPECT_EQ(cut.name, "profile 5 (truncated)");
+    EXPECT_EQ(cut.start, 300);
+    EXPECT_EQ(cut.duration, 0);
 }
 
 TEST(TraceExportTest, EveryOpBecomesOneDurationEvent)
@@ -166,13 +215,18 @@ TEST(TraceExportTest, SpanTraceNormalizesToZeroOrigin)
     const std::string text = out.str();
     std::string error;
     EXPECT_TRUE(validateJson(text, &error)) << error;
-    // Earliest span starts at ts 0; the later one at +1000 us.
-    EXPECT_NE(text.find("\"ts\":0,\"dur\":2000"),
-              std::string::npos);
-    EXPECT_NE(text.find("\"ts\":1000,\"dur\":500"),
-              std::string::npos);
-    EXPECT_NE(text.find("\"pid\":2"), std::string::npos);
-    EXPECT_NE(text.find("\"steps\":\"97\""), std::string::npos);
+
+    // Byte-exact: one pid-2 track per thread, the earliest span at
+    // ts 0 and the later one at +1000 us, string args verbatim.
+    const std::string expected =
+        "{\"traceEvents\":["
+        "{\"name\":\"analyze.ingest\",\"ph\":\"X\",\"pid\":2,"
+        "\"tid\":1,\"ts\":0,\"dur\":2000},"
+        "{\"name\":\"analyze.kmeans\",\"ph\":\"X\",\"pid\":2,"
+        "\"tid\":2,\"ts\":1000,\"dur\":500,"
+        "\"args\":{\"steps\":\"97\"}}"
+        "],\"displayTimeUnit\":\"ms\"}";
+    EXPECT_EQ(text, expected);
 }
 
 } // namespace

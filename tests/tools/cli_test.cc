@@ -280,10 +280,17 @@ TEST(CliTest, ExportRejectsMalformedStepRange)
 {
     const std::string profile = tempPath("range.profile");
     writeProfile(profile);
-    const auto result = run(std::string(TPUPOINT_EXPORT_BIN) +
-                            " '" + profile + "' --steps 9:2");
-    EXPECT_EQ(result.exit_code, 2);
-    EXPECT_NE(result.output.find("--steps"), std::string::npos);
+    // A reversed range, a negative bound (which strtoull would
+    // wrap to 2^64-2), a bound past 2^64-1 and a signed bound.
+    for (const char *range : {"9:2", "1:-2",
+                              "0:99999999999999999999999", "+2:4"}) {
+        const auto result =
+            run(std::string(TPUPOINT_EXPORT_BIN) + " '" + profile +
+                "' --steps '" + range + "'");
+        EXPECT_EQ(result.exit_code, 2) << range;
+        EXPECT_NE(result.output.find("--steps"), std::string::npos)
+            << range;
+    }
 }
 
 TEST(CliTest, ExportSalvagesDamagedProfiles)

@@ -14,12 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/json.hh"
+#include "core/strings.hh"
 #include "obs/trace_export.hh"
 #include "runtime/analysis_pipeline.hh"
 #include "tools/cli_common.hh"
@@ -28,19 +29,14 @@ using namespace tpupoint;
 
 namespace {
 
-/** Parse "A:B" into an inclusive step range. */
+/** Parse "A:B" into an inclusive step range (strict bounds). */
 bool
-parseStepRange(const char *text, StepId *first, StepId *last)
+parseStepRange(std::string_view text, StepId *first, StepId *last)
 {
-    const char *colon = std::strchr(text, ':');
-    if (!colon || colon == text || colon[1] == '\0')
-        return false;
-    char *end = nullptr;
-    *first = std::strtoull(text, &end, 10);
-    if (end != colon)
-        return false;
-    *last = std::strtoull(colon + 1, &end, 10);
-    if (*end != '\0')
+    const std::size_t colon = text.find(':');
+    if (colon == std::string_view::npos ||
+        !parseUint64(text.substr(0, colon), first) ||
+        !parseUint64(text.substr(colon + 1), last))
         return false;
     return *first <= *last;
 }
@@ -71,8 +67,8 @@ main(int argc, char **argv)
                                           &options.last_step)) {
                           std::fprintf(
                               stderr,
-                              "error: --steps wants A:B with "
-                              "A <= B\n");
+                              "error: --steps wants A:B, two "
+                              "unsigned integers with A <= B\n");
                           return false;
                       }
                       return true;
