@@ -6,8 +6,8 @@
  * SimPoint-style clustering at a fraction of the cost. This bench
  * measures wall time of the three algorithms against growing step
  * counts and reports the resident working set each needs (every
- * step's feature vector for k-means/DBSCAN versus three step
- * records for OLS).
+ * step's feature vector for k-means, plus the eps-neighbourhood
+ * graph for DBSCAN, versus three step records for OLS).
  *
  * Each timing is the median of repeated runs (at least three, and
  * until 50 ms of runs have accumulated).
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -82,9 +83,9 @@ main(int argc, char **argv)
     const StepTable full = StepTable::fromRecords(
         benchutil::profiledRun(w, TpuGeneration::V2).records);
 
-    const std::vector<int> widths{6, 12, 12, 10, 16, 10};
+    const std::vector<int> widths{6, 12, 12, 10, 16, 14, 10};
     benchutil::row({"steps", "k-means ms", "DBSCAN ms", "OLS ms",
-                    "features bytes", "OLS steps"},
+                    "features bytes", "DBSCAN bytes", "OLS steps"},
                    widths);
     std::size_t sink = 0;
     for (const std::size_t steps : {64u, 128u, 256u, 512u}) {
@@ -95,8 +96,11 @@ main(int argc, char **argv)
         const double kmeans_ms = medianMs([&] {
             sink += kMeansSweep(points, 1, 15).k_values.size();
         });
+        std::size_t graph_edges = 0;
         const double dbscan_ms = medianMs([&] {
-            sink += dbscanSweep(points).min_samples_values.size();
+            const DbscanSweep sweep = dbscanSweep(points);
+            graph_edges = sweep.graph_edges;
+            sink += sweep.min_samples_values.size();
         });
         std::size_t ols_peak = 0;
         const double ols_ms = medianMs([&] {
@@ -109,16 +113,21 @@ main(int argc, char **argv)
             ols_peak = ols.peakStepsHeld();
             sink += ols.phases().size();
         });
-        // k-means and DBSCAN hold every step's feature vector; OLS
+        // k-means and DBSCAN hold every step's feature vector, and
+        // DBSCAN its CSR eps-graph (offsets plus neighbour ids); OLS
         // holds three step records regardless of run length.
         const double working_set_bytes = static_cast<double>(
             points.rows() * features.dimensions() * sizeof(double));
+        const double dbscan_bytes = working_set_bytes +
+            static_cast<double>((points.rows() + 1 + graph_edges) *
+                                sizeof(std::uint32_t));
 
         benchutil::row({std::to_string(steps),
                         formatDouble(kmeans_ms, 3),
                         formatDouble(dbscan_ms, 3),
                         formatDouble(ols_ms, 3),
                         formatDouble(working_set_bytes, 0),
+                        formatDouble(dbscan_bytes, 0),
                         std::to_string(ols_peak)},
                        widths);
         const std::string n = std::to_string(steps);
@@ -127,8 +136,7 @@ main(int argc, char **argv)
         report.figure("ols_ms_" + n, ols_ms);
         report.figure("kmeans_working_set_bytes_" + n,
                       working_set_bytes);
-        report.figure("dbscan_working_set_bytes_" + n,
-                      working_set_bytes);
+        report.figure("dbscan_working_set_bytes_" + n, dbscan_bytes);
         report.figure("ols_working_set_steps_" + n,
                       static_cast<double>(ols_peak));
     }

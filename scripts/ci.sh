@@ -376,6 +376,18 @@ bench_smoke() {
             return 1
         }
     done
+    echo "== bench: analysis-algorithm cost and working set"
+    "${build_dir}/bench/bench_ablation_algorithms" \
+        --json "${work}/algorithms.json"
+    "${build_dir}/tools/tpupoint-validate-json" \
+        "${work}/algorithms.json"
+    for figure in dbscan_sweep_ms_512 dbscan_working_set_bytes_512; do
+        grep -q "\"${figure}\"" "${work}/algorithms.json" || {
+            echo "bench: bench_ablation_algorithms lost the" \
+                "${figure} figure" >&2
+            return 1
+        }
+    done
     echo "== bench: serve ingest, restart recovery, shedding"
     "${build_dir}/bench/bench_serve" --json "${work}/serve.json"
     "${build_dir}/tools/tpupoint-validate-json" \

@@ -82,7 +82,7 @@ class DbscanDetector final : public PhaseDetector
         if (options.dbscan_fixed_min_samples > 0) {
             const double eps = options.dbscan_eps > 0
                 ? options.dbscan_eps
-                : suggestEps(features->matrix());
+                : suggestEps(features->matrix(), pool);
             out.dbscan.best = dbscanCluster(
                 features->matrix(), eps,
                 options.dbscan_fixed_min_samples);

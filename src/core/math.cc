@@ -53,6 +53,14 @@ squaredDistanceN(const double *a, const double *b, std::size_t n)
 }
 
 void
+squaredDistancesN(const double *a, const double *rows,
+                  std::size_t count, std::size_t n, double *out)
+{
+    for (std::size_t j = 0; j < count; ++j)
+        out[j] = squaredDistanceN(a, rows + j * n, n);
+}
+
+void
 addN(double *a, const double *b, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)

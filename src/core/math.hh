@@ -28,6 +28,14 @@ using FeatureVector = std::vector<double>;
 double dotN(const double *a, const double *b, std::size_t n);
 double squaredDistanceN(const double *a, const double *b,
                         std::size_t n);
+/**
+ * out[j] = squaredDistanceN(a, rows + j * n, n) for j in
+ * [0, count): one point's distances to a contiguous block of
+ * row-major rows, each pair summed exactly as squaredDistanceN.
+ */
+void squaredDistancesN(const double *a, const double *rows,
+                       std::size_t count, std::size_t n,
+                       double *out);
 void addN(double *a, const double *b, std::size_t n);
 void scaleN(double *v, double s, std::size_t n);
 

@@ -35,6 +35,21 @@ TEST(VectorMathTest, Distances)
     EXPECT_EQ(squaredDistanceN(a, b, 5), 55.0);
 }
 
+TEST(VectorMathTest, DistancesToRowBlockMatchPairwise)
+{
+    // Three 5-dimensional rows, so the unrolled block and the tail
+    // both run; each output equals the single-pair kernel exactly.
+    const double a[] = {0.1, -2.5, 3.25, 7.0, 1e-3};
+    const double rows[] = {1, 2, 3, 4, 5,
+                           -0.1, 2.5, -3.25, -7.0, -1e-3,
+                           0.1, -2.5, 3.25, 7.0, 1e-3};
+    double out[3];
+    squaredDistancesN(a, rows, 3, 5, out);
+    for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_EQ(out[j], squaredDistanceN(a, rows + j * 5, 5));
+    EXPECT_EQ(out[2], 0.0);
+}
+
 TEST(VectorMathTest, AddAndScaleInPlace)
 {
     FeatureVector a{1, 2};

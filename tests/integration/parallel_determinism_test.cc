@@ -83,6 +83,13 @@ expectIdentical(const AnalysisResult &a, const AnalysisResult &b)
         EXPECT_EQ(da.top3_coverage, db.top3_coverage);
         EXPECT_EQ(da.kmeans.ssd_curve, db.kmeans.ssd_curve);
         EXPECT_EQ(da.dbscan.noise_curve, db.dbscan.noise_curve);
+        // The eps and graph passes fan out too: pin everything the
+        // DBSCAN sweep derives from them.
+        EXPECT_EQ(da.dbscan.best.eps, db.dbscan.best.eps);
+        EXPECT_EQ(da.dbscan.cluster_counts, db.dbscan.cluster_counts);
+        EXPECT_EQ(da.dbscan.elbow_min_samples,
+                  db.dbscan.elbow_min_samples);
+        EXPECT_EQ(da.dbscan.best.labels, db.dbscan.best.labels);
     }
 }
 
