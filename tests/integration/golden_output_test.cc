@@ -27,6 +27,7 @@
 #include "analyzer/compare.hh"
 #include "analyzer/dbscan.hh"
 #include "analyzer/features.hh"
+#include "analyzer/kmeans.hh"
 #include "analyzer/visualization.hh"
 #include "core/thread_pool.hh"
 #include "obs/trace_export.hh"
@@ -390,6 +391,25 @@ labelsCrc(const std::vector<int> &labels)
     return buf;
 }
 
+/** Step features of every Table I workload (profiled once). */
+const std::vector<FeatureMatrix> &
+tableOneFeatures()
+{
+    static const std::vector<FeatureMatrix> features = [] {
+        std::vector<FeatureMatrix> out;
+        for (const WorkloadId id : kTableOne) {
+            const ProfiledRun run =
+                profileWorkload(id, TpuGeneration::V2);
+            if (run.records.empty())
+                ADD_FAILURE() << workloadName(id) << " has no records";
+            out.push_back(FeatureMatrix::build(
+                StepTable::fromRecords(run.records)));
+        }
+        return out;
+    }();
+    return features;
+}
+
 // DBSCAN pinned per Table I workload: the suggested eps, the whole
 // min-samples sweep (noise ratio and cluster count per setting),
 // the elbow and its labels, plus single clusterings at a tighter
@@ -398,15 +418,7 @@ labelsCrc(const std::vector<int> &labels)
 // 8-worker runs must both produce the golden text.
 TEST(GoldenOutput, ClusterSweeps)
 {
-    std::vector<FeatureMatrix> features;
-    for (const WorkloadId id : kTableOne) {
-        const ProfiledRun run =
-            profileWorkload(id, TpuGeneration::V2);
-        ASSERT_FALSE(run.records.empty());
-        features.push_back(FeatureMatrix::build(
-            StepTable::fromRecords(run.records)));
-    }
-
+    const std::vector<FeatureMatrix> &features = tableOneFeatures();
     std::string golden;
     for (const unsigned threads : {1u, 8u}) {
         std::unique_ptr<ThreadPool> pool;
@@ -452,6 +464,58 @@ TEST(GoldenOutput, ClusterSweeps)
                 << " workers";
         }
     }
+}
+
+// k-means pinned per Table I workload over the analyzer's k = 1..15
+// sweep: per k the SSD, the Lloyd iteration count (so a change that
+// alters when the loop stops shows) and the labels, then the elbow.
+// Each k is clustered alone with the Rng(seed + k) stream the sweep
+// gives it, and the sweep itself, serial and on 8 workers, must
+// reproduce those SSDs and the elbow's labels.
+TEST(GoldenOutput, KMeansSweeps)
+{
+    const std::vector<FeatureMatrix> &features = tableOneFeatures();
+    const AnalyzerOptions options;
+    ThreadPool pool(8u);
+    std::ostringstream out;
+    for (std::size_t w = 0; w < features.size(); ++w) {
+        const Matrix &points = features[w].matrix();
+        out << workloadName(kTableOne[w]) << " rows "
+            << points.rows() << " dims " << points.cols() << "\n";
+        std::vector<KMeansResult> per_k;
+        for (int k = options.kmeans_k_min; k <= options.kmeans_k_max;
+             ++k) {
+            Rng rng(options.seed + static_cast<std::uint64_t>(k));
+            per_k.push_back(kMeansCluster(points, k, rng));
+            const KMeansResult &r = per_k.back();
+            out << "  k " << k << " ssd " << hexDouble(r.ssd)
+                << " iterations " << r.iterations << " labels_crc "
+                << labelsCrc(r.labels) << "\n";
+        }
+        int serial_elbow = 0;
+        for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
+                              &pool}) {
+            SCOPED_TRACE(workloadName(kTableOne[w]) +
+                         std::string(p ? " pooled" : " serial"));
+            const KMeansSweep sweep =
+                kMeansSweep(points, options.kmeans_k_min,
+                            options.kmeans_k_max, options.seed, p);
+            ASSERT_EQ(sweep.ssd_curve.size(), per_k.size());
+            for (std::size_t i = 0; i < per_k.size(); ++i)
+                EXPECT_EQ(sweep.ssd_curve[i], per_k[i].ssd);
+            const KMeansResult &best = per_k[static_cast<std::size_t>(
+                sweep.elbow_k - options.kmeans_k_min)];
+            EXPECT_EQ(sweep.best.labels, best.labels);
+            EXPECT_EQ(sweep.best.iterations, best.iterations);
+            if (p == nullptr) {
+                serial_elbow = sweep.elbow_k;
+                out << "  elbow " << sweep.elbow_k << "\n";
+            } else {
+                EXPECT_EQ(sweep.elbow_k, serial_elbow);
+            }
+        }
+    }
+    expectGolden("kmeans_sweeps.txt", out.str());
 }
 
 TEST(GoldenOutput, SalvagedAnalysis)
