@@ -15,7 +15,7 @@ namespace tpupoint {
 namespace {
 
 /**
- * Row blocks per distance pass: enough to balance a few dozen
+ * Row blocks of the eps-graph pass: enough to balance a few dozen
  * workers, few enough that each block's scratch is amortized.
  */
 constexpr std::size_t kRowBlocks = 32;
@@ -23,26 +23,71 @@ constexpr std::size_t kRowBlocks = 32;
 /**
  * Split [0, rows) into at most kRowBlocks non-empty ranges
  * [bounds[b], bounds[b + 1]) of roughly equal work, where row i
- * costs @p cost(i) distance evaluations.
+ * costs rows - i distance evaluations (the upper triangle).
  */
-template <typename Cost>
 std::vector<std::size_t>
-rowBlocks(std::size_t rows, Cost &&cost)
+rowBlocks(std::size_t rows)
 {
     const std::size_t blocks = std::min(rows, kRowBlocks);
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < rows; ++i)
-        total += cost(i);
+        total += rows - i;
     std::vector<std::size_t> bounds{0};
     std::uint64_t done = 0;
     for (std::size_t i = 0; i < rows; ++i) {
-        done += cost(i);
+        done += rows - i;
         // The last row always closes a block: done == total there,
         // and at most blocks - 1 bounds were cut before it.
         if (done * blocks >= total * bounds.size())
             bounds.push_back(i + 1);
     }
     return bounds;
+}
+
+/**
+ * Row ranges of the suggestEps pass. Its pair tiles run in rounds
+ * of kEpsRanges / 2 disjoint tiles, which keeps a few workers busy.
+ */
+constexpr std::size_t kEpsRanges = 8;
+
+/**
+ * Max-heap steps over raw doubles. Only indices below @p size are
+ * touched, whatever the values, NaN included.
+ *
+ * pushHeap: append @p value to the heap of @p size values (room for
+ * one more) and sift it up.
+ */
+void
+pushHeap(double *heap, std::size_t size, double value)
+{
+    std::size_t i = size;
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!(heap[parent] < value))
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = value;
+}
+
+/** Replace the top of the heap of @p size values and sift down. */
+void
+replaceHeapTop(double *heap, std::size_t size, double value)
+{
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && heap[child] < heap[child + 1])
+            ++child;
+        if (!(value < heap[child]))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = value;
 }
 
 /**
@@ -86,8 +131,7 @@ buildEpsGraph(const Matrix &points, double eps2, ThreadPool *pool)
         std::vector<std::uint32_t> counts; ///< Per row of the block.
         std::vector<std::uint32_t> ids;    ///< Concatenated lists.
     };
-    const std::vector<std::size_t> bounds = rowBlocks(
-        rows, [rows](std::size_t i) { return rows - i; });
+    const std::vector<std::size_t> bounds = rowBlocks(rows);
     std::vector<Block> blocks(bounds.size() - 1);
     const double *base = points.rowPtr(0);
     runtime::poolMap(
@@ -217,32 +261,74 @@ suggestEps(const Matrix &points, ThreadPool *pool)
     // Use a 24-NN radius: wide enough that steady-state training
     // steps (which dominate every run) form a dense core across
     // the whole min-samples sweep, as in the paper's Figure 5.
-    constexpr std::size_t kth = 24;
-    const std::size_t k = std::min(kth, rows - 1) - 1;
     // Squared distances throughout: sqrt is monotone, so the k-th
     // smallest and the 90th percentile select the same entries,
     // and only the chosen one is rooted.
-    std::vector<double> kth_squared(rows);
-    const std::vector<std::size_t> bounds =
-        rowBlocks(rows, [rows](std::size_t) { return rows - 1; });
+    constexpr std::size_t kth = 24;
+    const std::size_t cap = std::min(kth, rows - 1);
+    std::vector<double> heaps(rows * cap);
+    std::vector<std::size_t> filled(rows, 0);
+    // Row i's max-heap of the cap smallest distances offered so
+    // far: once all rows - 1 arrived, its top is the cap-th
+    // smallest, whatever order they came in.
+    auto offer = [&](std::size_t row, double d) {
+        double *heap = heaps.data() + row * cap;
+        if (filled[row] < cap)
+            pushHeap(heap, filled[row]++, d);
+        else if (d < heap[0])
+            replaceHeapTop(heap, cap, d);
+    };
+
+    // Each unordered pair is measured once, inside one tile of two
+    // row ranges (or of a range with itself), and offered to both
+    // rows' heaps: d(i, j) == d(j, i) bit for bit.
+    std::vector<std::size_t> bounds(kEpsRanges + 1);
+    for (std::size_t b = 0; b <= kEpsRanges; ++b)
+        bounds[b] = rows * b / kEpsRanges;
     const double *base = points.rowPtr(0);
-    runtime::poolMap(
-        pool, bounds.size() - 1,
-        [&](std::size_t b) {
-            std::vector<double> dists(rows - 1);
-            for (std::size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-                const double *pi = base + i * dim;
-                squaredDistancesN(pi, base, i, dim, dists.data());
-                squaredDistancesN(pi, base + (i + 1) * dim,
-                                  rows - 1 - i, dim,
-                                  dists.data() + i);
-                std::nth_element(dists.begin(), dists.begin() +
-                                 static_cast<std::ptrdiff_t>(k),
-                                 dists.end());
-                kth_squared[i] = dists[k];
+    auto tile = [&](std::size_t a, std::size_t b) {
+        std::vector<double> dists(bounds[b + 1] - bounds[b]);
+        for (std::size_t i = bounds[a]; i < bounds[a + 1]; ++i) {
+            const std::size_t first = a == b ? i + 1 : bounds[b];
+            const std::size_t count = bounds[b + 1] - first;
+            squaredDistancesN(base + i * dim, base + first * dim,
+                              count, dim, dists.data());
+            for (std::size_t t = 0; t < count; ++t) {
+                offer(i, dists[t]);
+                offer(first + t, dists[t]);
             }
-        },
-        "analyze.dbscan.eps");
+        }
+    };
+    // Round 0 measures each range against itself; rounds 1..7 are
+    // the circle method's, with the last range fixed and the others
+    // rotating, so every round pairs each range with exactly one
+    // other and the seven cover all 28 pairs once. No row belongs
+    // to two tiles of a round, so no heap is written by two tasks
+    // at once.
+    constexpr std::size_t rotating = kEpsRanges - 1;
+    for (std::size_t round = 0; round <= rotating; ++round) {
+        const std::size_t tiles =
+            round == 0 ? kEpsRanges : kEpsRanges / 2;
+        runtime::poolMap(
+            pool, tiles,
+            [&](std::size_t t) {
+                if (round == 0) {
+                    tile(t, t);
+                    return;
+                }
+                const std::size_t r = round - 1;
+                if (t == 0)
+                    tile(r, rotating);
+                else
+                    tile((r + t) % rotating,
+                         (r + rotating - t) % rotating);
+            },
+            "analyze.dbscan.eps");
+    }
+
+    std::vector<double> kth_squared(rows);
+    for (std::size_t row = 0; row < rows; ++row)
+        kth_squared[row] = heaps[row * cap];
     const std::size_t p90 = std::min((rows * 9) / 10, rows - 1);
     std::nth_element(kth_squared.begin(),
                      kth_squared.begin() +
@@ -254,13 +340,13 @@ suggestEps(const Matrix &points, ThreadPool *pool)
 
 DbscanResult
 dbscanCluster(const Matrix &points, double eps,
-              std::size_t min_samples)
+              std::size_t min_samples, ThreadPool *pool)
 {
     if (eps <= 0)
         fatal("dbscanCluster: eps must be positive");
     if (min_samples == 0)
         fatal("dbscanCluster: min_samples must be positive");
-    return labelGraph(buildEpsGraph(points, eps * eps, nullptr), eps,
+    return labelGraph(buildEpsGraph(points, eps * eps, pool), eps,
                       min_samples);
 }
 

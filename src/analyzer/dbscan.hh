@@ -44,17 +44,23 @@ struct DbscanResult
  * points, numbered in order of each component's lowest core index;
  * a border point takes the lowest cluster id among its core
  * neighbours; every other point is noise. This is exactly what the
- * classic visit-order expansion computes.
+ * classic visit-order expansion computes. When @p pool is given,
+ * the graph build fans out over blocks of rows, with the same
+ * labels as the serial path.
  */
 DbscanResult dbscanCluster(const Matrix &points, double eps,
-                           std::size_t min_samples);
+                           std::size_t min_samples,
+                           ThreadPool *pool = nullptr);
 
 /**
  * Suggest an eps from the data: 1.5x the 90th percentile of each
  * point's 24th-nearest-neighbour distance — dense step clusters
- * sit well inside it, stragglers outside. When @p pool is given,
- * blocks of rows fan out across its workers; every row writes its
- * own slot, so the result is bit-identical to the serial path.
+ * sit well inside it, stragglers outside. Each pair of rows is
+ * measured once, and each row keeps only its 24 smallest squared
+ * distances. When @p pool is given, the pair tiles of each round
+ * fan out across its workers; the k-th smallest of a row's
+ * distances does not depend on the order they arrive in, so the
+ * result is bit-identical to the serial path.
  */
 double suggestEps(const Matrix &points, ThreadPool *pool = nullptr);
 

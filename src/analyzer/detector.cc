@@ -85,7 +85,7 @@ class DbscanDetector final : public PhaseDetector
                 : suggestEps(features->matrix(), pool);
             out.dbscan.best = dbscanCluster(
                 features->matrix(), eps,
-                options.dbscan_fixed_min_samples);
+                options.dbscan_fixed_min_samples, pool);
             out.dbscan.elbow_min_samples =
                 options.dbscan_fixed_min_samples;
             out.dbscan.min_samples_values = {

@@ -30,8 +30,10 @@ struct KMeansResult
 };
 
 /**
- * Lloyd's algorithm with k-means++ seeding. Assignment distances
- * stride the contiguous rows of @p points.
+ * Lloyd's algorithm with k-means++ seeding. Hamerly bounds skip
+ * the centroid scan of points whose label provably stays; labels,
+ * centroids, SSD and iteration count are bit-identical to the plain
+ * loop that scans every centroid for every point.
  *
  * @param points Observations, one per row.
  * @param k Clusters; clamped to the number of points.

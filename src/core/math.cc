@@ -56,7 +56,36 @@ void
 squaredDistancesN(const double *a, const double *rows,
                   std::size_t count, std::size_t n, double *out)
 {
-    for (std::size_t j = 0; j < count; ++j)
+    // Four rows per sweep of the point: each row keeps its own
+    // accumulator, summed in index order exactly as
+    // squaredDistanceN does, so every result is bit-identical to
+    // the single-pair kernel. The four chains are independent, so
+    // they overlap in the FP pipeline instead of each waiting on
+    // its previous add.
+    std::size_t j = 0;
+    for (; j + 4 <= count; j += 4) {
+        const double *r0 = rows + j * n;
+        const double *r1 = r0 + n;
+        const double *r2 = r1 + n;
+        const double *r3 = r2 + n;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double x = a[i];
+            const double d0 = x - r0[i];
+            const double d1 = x - r1[i];
+            const double d2 = x - r2[i];
+            const double d3 = x - r3[i];
+            s0 += d0 * d0;
+            s1 += d1 * d1;
+            s2 += d2 * d2;
+            s3 += d3 * d3;
+        }
+        out[j] = s0;
+        out[j + 1] = s1;
+        out[j + 2] = s2;
+        out[j + 3] = s3;
+    }
+    for (; j < count; ++j)
         out[j] = squaredDistanceN(a, rows + j * n, n);
 }
 

@@ -74,6 +74,17 @@ TEST(AnalyzerTest, DbscanSweepAndFixedMinSamples)
         TpuPointAnalyzer(fixed).analyze(syntheticRecords());
     EXPECT_EQ(result.dbscan.best.min_samples, 30u);
     EXPECT_GE(result.phases.size(), 1u);
+    // The fixed setting builds its graph on the analysis pool; any
+    // thread count gives the same clustering.
+    for (const unsigned threads : {2u, 8u}) {
+        AnalyzerOptions pooled = fixed;
+        pooled.threads = threads;
+        const AnalysisResult parallel =
+            TpuPointAnalyzer(pooled).analyze(syntheticRecords());
+        EXPECT_EQ(parallel.dbscan.best.eps, result.dbscan.best.eps);
+        EXPECT_EQ(parallel.dbscan.best.labels,
+                  result.dbscan.best.labels);
+    }
 
     // An extreme min-samples turns every step into noise — which
     // the paper then treats as a cluster of its own.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -329,6 +330,8 @@ expectMatchesOracle(const Matrix &points, double eps, std::size_t lo,
         want.push_back(oracle::cluster(points, eps, m));
         expectSameClustering(dbscanCluster(points, eps, m),
                              want.back());
+        expectSameClustering(dbscanCluster(points, eps, m, &pool),
+                             want.back());
         xs.push_back(static_cast<double>(m));
         noise.push_back(want.back().noise_ratio);
     }
@@ -425,6 +428,40 @@ TEST(DbscanDifferentialTest, EdgeCasesMatchRegionQueryOracle)
         points.at(7, 1) = std::numeric_limits<double>::quiet_NaN();
         expectMatchesOracle(points, 2.0, 1, 20, 1, pool);
     }
+}
+
+TEST(DbscanDifferentialTest, SuggestEpsMatchesOracleOnEveryPool)
+{
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    for (const unsigned workers : {1u, 2u, 3u, 8u})
+        pools.push_back(std::make_unique<ThreadPool>(workers));
+    auto expect_oracle_eps = [&](const Matrix &points) {
+        const double want = oracle::suggestEps(points);
+        EXPECT_EQ(suggestEps(points), want) << "serial";
+        for (const auto &pool : pools)
+            EXPECT_EQ(suggestEps(points, pool.get()), want)
+                << pool->workers() << " workers";
+    };
+    // Fewer rows than row ranges or rounds, odd counts, and fewer
+    // rows than the 24-NN rank.
+    for (std::size_t rows = 2; rows <= 20; ++rows) {
+        SCOPED_TRACE("rows " + std::to_string(rows));
+        expect_oracle_eps(randomSet(100 + rows, rows, 1 + rows % 5));
+        expect_oracle_eps(Matrix::fromRows(
+            std::vector<FeatureVector>(rows, {1, 2})));
+    }
+    // Row counts that do not split evenly into the ranges, each
+    // row repeated: many zero distances and exact ties.
+    for (const std::size_t rows : {25u, 31u, 97u, 203u, 411u}) {
+        SCOPED_TRACE("rows " + std::to_string(rows));
+        const Matrix points = randomSet(rows, rows, 1 + rows % 7);
+        expect_oracle_eps(points);
+        std::vector<FeatureVector> doubled;
+        for (std::size_t i = 0; i < rows; ++i)
+            doubled.push_back(points.row(i / 2));
+        expect_oracle_eps(Matrix::fromRows(doubled));
+    }
+    expect_oracle_eps(integerGrid());
 }
 
 TEST(DbscanSweepTest, InvalidRangeRejected)

@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/math.hh"
+#include "core/rng.hh"
 
 namespace tpupoint {
 namespace {
@@ -37,17 +40,49 @@ TEST(VectorMathTest, Distances)
 
 TEST(VectorMathTest, DistancesToRowBlockMatchPairwise)
 {
-    // Three 5-dimensional rows, so the unrolled block and the tail
-    // both run; each output equals the single-pair kernel exactly.
-    const double a[] = {0.1, -2.5, 3.25, 7.0, 1e-3};
-    const double rows[] = {1, 2, 3, 4, 5,
-                           -0.1, 2.5, -3.25, -7.0, -1e-3,
-                           0.1, -2.5, 3.25, 7.0, 1e-3};
-    double out[3];
-    squaredDistancesN(a, rows, 3, 5, out);
-    for (std::size_t j = 0; j < 3; ++j)
-        EXPECT_EQ(out[j], squaredDistanceN(a, rows + j * 5, 5));
-    EXPECT_EQ(out[2], 0.0);
+    // Every row count 0..9 and dimension 0..9, so the four-row
+    // sweeps, the row tail and the element tail all run; each output
+    // equals the single-pair kernel bit for bit, and nothing past
+    // out[count) is written.
+    Rng rng(17);
+    // Gaussian values across forty binary orders of magnitude, so
+    // the sums round differently in different orders.
+    auto draw = [&rng] {
+        const int scale = static_cast<int>(rng.nextBounded(40)) - 20;
+        return rng.gaussian(0, 1) * std::ldexp(1.0, scale);
+    };
+    for (std::size_t count = 0; count <= 9; ++count) {
+        for (std::size_t dim = 0; dim <= 9; ++dim) {
+            SCOPED_TRACE("count " + std::to_string(count) + " dim " +
+                         std::to_string(dim));
+            std::vector<double> rows(count * dim), a(dim);
+            for (double &x : rows)
+                x = draw();
+            for (double &x : a)
+                x = draw();
+            std::vector<double> out(count + 1, -1.0);
+            squaredDistancesN(a.data(), rows.data(), count, dim,
+                              out.data());
+            for (std::size_t j = 0; j < count; ++j)
+                EXPECT_EQ(out[j], squaredDistanceN(
+                                      a.data(), rows.data() + j * dim,
+                                      dim));
+            EXPECT_EQ(out[count], -1.0);
+
+            // The point inside the block, as the eps-graph pass calls
+            // it: row p against rows p.. of the same block.
+            for (std::size_t p = 0; p < count; ++p) {
+                const double *point = rows.data() + p * dim;
+                squaredDistancesN(point, point, count - p, dim,
+                                  out.data());
+                for (std::size_t j = p; j < count; ++j)
+                    EXPECT_EQ(out[j - p],
+                              squaredDistanceN(
+                                  rows.data() + j * dim, point, dim));
+                EXPECT_EQ(out[0], 0.0);
+            }
+        }
+    }
 }
 
 TEST(VectorMathTest, AddAndScaleInPlace)
